@@ -51,13 +51,15 @@ bool ResultCache::Lookup(const std::string& key, std::string* payload_out) {
   return true;
 }
 
-void ResultCache::Insert(const std::string& key,
-                         const std::string& payload) {
+void ResultCache::Insert(const std::string& key, const std::string& payload,
+                         uint64_t epoch) {
   if (capacity_bytes_ == 0 || key.empty()) return;
   const size_t entry_bytes = payload.size() + key.size();
   if (entry_bytes > shard_capacity_bytes_) return;  // would evict the world
+  // A bump racing past this check still leaves the entry stamped with
+  // the old epoch, which Lookup treats as stale.
+  if (epoch != this->epoch()) return;
   Shard& shard = ShardFor(key);
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   MutexLock lock(&shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) EraseLocked(&shard, it);

@@ -59,9 +59,12 @@ class ResultCache {
 
   /// Stores `payload` under `key` (overwriting any same-epoch entry),
   /// then evicts least-recently-used entries until the shard is within
-  /// its byte budget. Oversized payloads (larger than a shard's entire
-  /// budget) are not cached.
-  void Insert(const std::string& key, const std::string& payload);
+  /// its byte budget. `epoch` is the epoch() read before the Lookup
+  /// miss that led to computing `payload`: if it has moved since, the
+  /// answer may predate a commit and is dropped. Oversized payloads
+  /// (larger than a shard's entire budget) are not cached.
+  void Insert(const std::string& key, const std::string& payload,
+              uint64_t epoch);
 
   /// Invalidate everything previously inserted (whole-cache epoch bump).
   void BumpEpoch();

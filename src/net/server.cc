@@ -512,6 +512,9 @@ void Server::HandleQueryRequest(Connection* conn, const FrameHeader& header,
   }
 
   std::string key = CacheKey(request);
+  // Read before the lookup: an answer computed after a miss is cached
+  // only if no commit bumped the epoch in between.
+  const uint64_t cache_epoch = cache_.epoch();
   std::string cached;  // 1 response-type byte + payload
   if (cache_.Lookup(key, &cached) && !cached.empty()) {
     const MsgType cached_type = static_cast<MsgType>(
@@ -558,7 +561,7 @@ void Server::HandleQueryRequest(Connection* conn, const FrameHeader& header,
   const MsgType request_type = header.type;
   const Status submit_status = bindings_.service->SubmitWithCallback(
       std::move(query), query_options,
-      [this, conn_id, request_id, request_type,
+      [this, conn_id, request_id, request_type, cache_epoch,
        key = std::move(key)](StatusOr<service::QueryResult> outcome) {
         PendingResponse pending;
         pending.conn_id = conn_id;
@@ -580,7 +583,7 @@ void Server::HandleQueryRequest(Connection* conn, const FrameHeader& header,
             value.reserve(payload.size() + 1);
             value.push_back(static_cast<char>(response_type));
             value.append(payload);
-            cache_.Insert(key, value);
+            cache_.Insert(key, value, cache_epoch);
           }
           pending.frame =
               EncodeFrame(response_type,

@@ -553,12 +553,22 @@ std::string Expr::ToString() const {
       return args[0]->ToString() + " " + ops[static_cast<int>(cmp)] + " " +
              args[1]->ToString();
     }
+    // Built by appending: GCC 12 misreads `"literal" + std::string&&`
+    // as an overlapping memcpy (-Wrestrict) in optimized builds.
     case Kind::kAnd:
-      return "(" + args[0]->ToString() + " and " + args[1]->ToString() + ")";
-    case Kind::kOr:
-      return "(" + args[0]->ToString() + " or " + args[1]->ToString() + ")";
-    case Kind::kNot:
-      return "not " + args[0]->ToString();
+    case Kind::kOr: {
+      std::string out = "(";
+      out += args[0]->ToString();
+      out += kind == Kind::kAnd ? " and " : " or ";
+      out += args[1]->ToString();
+      out += ")";
+      return out;
+    }
+    case Kind::kNot: {
+      std::string out = "not ";
+      out += args[0]->ToString();
+      return out;
+    }
     case Kind::kCall: {
       std::string out = func + "(";
       if (args.empty()) out += "*";  // zero-arg calls are count(*)-style

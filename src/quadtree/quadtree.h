@@ -77,8 +77,8 @@ class QuadTree {
 
   void InsertInto(Cell* cell, const QuadEntry& entry);
   void SplitCell(Cell* cell);
-  void SearchRec(const Cell& cell, const geom::Rect& window,
-                 std::vector<QuadEntry>* out, QuadStats* stats) const;
+  void SearchCell(const Cell& cell, const geom::Rect& window,
+                  std::vector<QuadEntry>* out, QuadStats* stats) const;
   static size_t CountCells(const Cell& cell);
   static int MaxDepth(const Cell& cell);
 

@@ -1,6 +1,6 @@
 #include "rtree/cursor.h"
 
-#include "simd/dispatch.h"
+#include <utility>
 
 namespace pictdb::rtree {
 
@@ -8,135 +8,44 @@ SearchCursor::SearchCursor(const RTree* tree,
                            std::function<bool(const geom::Rect&)> prune,
                            std::function<bool(const geom::Rect&)> accept,
                            const SearchOptions& options)
-    : tree_(tree),
-      prune_(std::move(prune)),
-      accept_(std::move(accept)),
-      options_(options) {
-  if (tree_->Size() > 0) pending_.push_back(tree_->root());
-}
+    : SearchCursor(tree, CustomPredicate(std::move(prune), std::move(accept)),
+                   options) {}
 
-SearchCursor::SearchCursor(const RTree* tree, Mode mode,
-                           const geom::Rect& window,
+SearchCursor::SearchCursor(const RTree* tree, SearchPredicate predicate,
                            const SearchOptions& options)
-    : tree_(tree), mode_(mode), window_(window), options_(options) {
-  if (tree_->Size() > 0) pending_.push_back(tree_->root());
-}
+    : descent_(tree, std::move(predicate), options) {}
 
 SearchCursor SearchCursor::Intersects(const RTree* tree,
                                       const geom::Rect& window,
                                       const SearchOptions& options) {
-  return SearchCursor(tree, Mode::kIntersects, window, options);
+  return SearchCursor(tree, WindowPredicate(window, /*contained=*/false),
+                      options);
 }
 
 SearchCursor SearchCursor::ContainedIn(const RTree* tree,
                                        const geom::Rect& window,
                                        const SearchOptions& options) {
-  return SearchCursor(tree, Mode::kContainedIn, window, options);
+  return SearchCursor(tree, WindowPredicate(window, /*contained=*/true),
+                      options);
 }
 
 StatusOr<std::optional<LeafHit>> SearchCursor::Next() {
-  return mode_ == Mode::kGeneric ? NextGeneric() : NextWindow();
-}
-
-StatusOr<std::optional<LeafHit>> SearchCursor::NextGeneric() {
   for (;;) {
-    // Drain the active leaf first.
     if (leaf_active_) {
-      while (leaf_pos_ < current_leaf_.entries.size()) {
-        const Entry& e = current_leaf_.entries[leaf_pos_++];
-        ++stats_.entries_tested;
-        if (accept_(e.mbr)) {
-          ++stats_.results;
-          return std::optional<LeafHit>(LeafHit{e.mbr, e.AsRid()});
-        }
-      }
-      leaf_active_ = false;
-    }
-    if (pending_.empty()) return std::optional<LeafHit>();
-
-    PICTDB_RETURN_IF_ERROR(options_.CheckRunnable());
-    const storage::PageId id = pending_.back();
-    pending_.pop_back();
-    auto loaded = tree_->ReadNodePage(id);
-    if (!loaded.ok()) {
-      if (options_.ShouldDegrade(loaded.status())) {
-        if (options_.quarantine != nullptr) options_.quarantine->Add(id);
-        ++stats_.skipped_subtrees;
-        stats_.degraded = true;
-        continue;
-      }
-      return loaded.status();
-    }
-    Node node = std::move(loaded).value();
-    ++stats_.nodes_visited;
-    if (node.is_leaf()) {
-      current_leaf_ = std::move(node);
-      leaf_pos_ = 0;
-      leaf_active_ = true;
-      continue;
-    }
-    for (const Entry& e : node.entries) {
-      ++stats_.entries_tested;
-      if (prune_(e.mbr)) pending_.push_back(e.AsChild());
-    }
-  }
-}
-
-StatusOr<std::optional<LeafHit>> SearchCursor::NextWindow() {
-  const simd::RectKernels& kernels = simd::ActiveKernels();
-  for (;;) {
-    // Drain the active leaf first. The accept verdicts were computed in
-    // one kernel call when the leaf was loaded; entries_tested still
-    // advances lazily with leaf_pos_, matching the generic cursor when
-    // the caller abandons the stream mid-leaf.
-    if (leaf_active_) {
-      while (leaf_pos_ < soa_node_.count()) {
+      const SoaNode& leaf = descent_.leaf();
+      const uint64_t* mask = descent_.accept_mask();
+      while (leaf_pos_ < leaf.count()) {
         const size_t i = leaf_pos_++;
-        ++stats_.entries_tested;
-        if ((accept_mask_[i / 64] >> (i % 64)) & 1u) {
-          ++stats_.results;
+        if ((mask[i / 64] >> (i % 64)) & 1u) {
+          ++descent_.stats().results;
           return std::optional<LeafHit>(
-              LeafHit{soa_node_.RectAt(i), soa_node_.RidAt(i)});
+              LeafHit{leaf.RectAt(i), leaf.RidAt(i)});
         }
       }
-      leaf_active_ = false;
     }
-    if (pending_.empty()) return std::optional<LeafHit>();
-
-    PICTDB_RETURN_IF_ERROR(options_.CheckRunnable());
-    const storage::PageId id = pending_.back();
-    pending_.pop_back();
-    const Status loaded = tree_->ReadNodePageSoa(id, &soa_node_);
-    if (!loaded.ok()) {
-      if (options_.ShouldDegrade(loaded)) {
-        if (options_.quarantine != nullptr) options_.quarantine->Add(id);
-        ++stats_.skipped_subtrees;
-        stats_.degraded = true;
-        continue;
-      }
-      return loaded;
-    }
-    ++stats_.nodes_visited;
-    const simd::RectSoa rects = soa_node_.rects();
-    accept_mask_.resize(simd::MaskWords(soa_node_.count()));
-    if (soa_node_.is_leaf()) {
-      if (mode_ == Mode::kContainedIn) {
-        kernels.contained_in(rects, window_, accept_mask_.data());
-      } else {
-        kernels.intersects(rects, window_, accept_mask_.data());
-      }
-      leaf_pos_ = 0;
-      leaf_active_ = true;
-      continue;
-    }
-    // Interior node: prune with window intersection. Ascending set-bit
-    // order pushes children in entry order — the same forward order the
-    // generic cursor uses, preserving the result stream exactly.
-    stats_.entries_tested += soa_node_.count();
-    kernels.intersects(rects, window_, accept_mask_.data());
-    simd::ForEachSetBit(accept_mask_.data(), soa_node_.count(), [&](size_t i) {
-      pending_.push_back(soa_node_.ChildAt(i));
-    });
+    PICTDB_ASSIGN_OR_RETURN(leaf_active_, descent_.NextLeaf());
+    if (!leaf_active_) return std::optional<LeafHit>();
+    leaf_pos_ = 0;
   }
 }
 

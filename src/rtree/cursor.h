@@ -3,9 +3,9 @@
 
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "common/status_or.h"
+#include "rtree/descent.h"
 #include "rtree/rtree.h"
 
 namespace pictdb::rtree {
@@ -34,40 +34,24 @@ class SearchCursor {
                                   const SearchOptions& options = {});
 
   /// Next qualifying entry, or nullopt at the end of the result stream.
+  /// Entries stream in the order SearchIntersects / SearchContainedIn /
+  /// SearchCustom return them.
   StatusOr<std::optional<LeafHit>> Next();
 
-  /// Nodes visited / entries tested so far.
-  const SearchStats& stats() const { return stats_; }
+  /// Nodes visited / entries tested so far. As in the eager searches,
+  /// entries_tested counts every entry of each decoded node, so it runs
+  /// ahead of the stream within the current leaf.
+  const SearchStats& stats() const { return descent_.stats(); }
 
  private:
-  /// Window cursors built by the Intersects/ContainedIn factories skip
-  /// the per-entry std::function calls and run the simd rect kernels
-  /// over an SoA node image instead; kGeneric keeps the caller-supplied
-  /// predicates. Result streams are identical either way.
-  enum class Mode { kGeneric, kIntersects, kContainedIn };
-
-  SearchCursor(const RTree* tree, Mode mode, const geom::Rect& window,
+  SearchCursor(const RTree* tree, SearchPredicate predicate,
                const SearchOptions& options);
 
-  StatusOr<std::optional<LeafHit>> NextGeneric();
-  StatusOr<std::optional<LeafHit>> NextWindow();
-
-  const RTree* tree_;
-  Mode mode_ = Mode::kGeneric;
-  geom::Rect window_;  // kIntersects / kContainedIn only
-  std::function<bool(const geom::Rect&)> prune_;
-  std::function<bool(const geom::Rect&)> accept_;
-  SearchOptions options_;
-  std::vector<storage::PageId> pending_;  // nodes not yet expanded
-  Node current_leaf_;
-  /// Window-mode scratch: one SoA image reused for every decode (safe
-  /// because a leaf is fully drained before the next node is loaded)
-  /// and the accept verdicts for the active leaf.
-  SoaNode soa_node_;
-  std::vector<uint64_t> accept_mask_;
-  size_t leaf_pos_ = 0;
+  Descent descent_;
+  /// Whether descent_.leaf() is a leaf still being drained, and the next
+  /// slot of it to test against the accept mask.
   bool leaf_active_ = false;
-  SearchStats stats_;
+  size_t leaf_pos_ = 0;
 };
 
 }  // namespace pictdb::rtree

@@ -1,6 +1,7 @@
 #include "rtree/join.h"
 
 #include "common/logging.h"
+#include "rtree/descent.h"
 #include "simd/dispatch.h"
 
 namespace pictdb::rtree {
@@ -44,12 +45,7 @@ StatusOr<Node> LoadJoinNode(const RTree& tree, storage::PageId id,
                             bool* skip) {
   auto loaded = tree.ReadNodePage(id);
   if (loaded.ok()) return loaded;
-  if (!options.ShouldDegrade(loaded.status())) return loaded;
-  if (options.quarantine != nullptr) options.quarantine->Add(id);
-  if (stats != nullptr) {
-    ++stats->skipped_subtrees;
-    stats->degraded = true;
-  }
+  if (!SkipUnreadable(loaded.status(), id, options, stats)) return loaded;
   *skip = true;
   return Node{};
 }

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "geom/distance.h"
+#include "rtree/descent.h"
 
 namespace pictdb::rtree {
 
@@ -21,20 +22,6 @@ struct QueueItem {
     return a.distance > b.distance;
   }
 };
-
-/// Shared degraded-mode handling for a failed node read during a
-/// best-first traversal: quarantine + account, or propagate.
-Status HandleNodeReadFailure(const Status& st, storage::PageId node,
-                             SearchStats* stats,
-                             const SearchOptions& options) {
-  if (!options.ShouldDegrade(st)) return st;
-  if (options.quarantine != nullptr) options.quarantine->Add(node);
-  if (stats != nullptr) {
-    ++stats->skipped_subtrees;
-    stats->degraded = true;
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -68,9 +55,8 @@ StatusOr<std::vector<Neighbor>> SearchNearest(const RTree& tree,
 
     const Status loaded = tree.ReadNodePageSoa(item.node, &node);
     if (!loaded.ok()) {
-      PICTDB_RETURN_IF_ERROR(
-          HandleNodeReadFailure(loaded, item.node, stats, options));
-      continue;
+      if (SkipUnreadable(loaded, item.node, options, stats)) continue;
+      return loaded;
     }
     if (stats != nullptr) ++stats->nodes_visited;
     for (size_t i = 0; i < node.count(); ++i) {
@@ -128,9 +114,8 @@ StatusOr<std::vector<Neighbor>> SearchNearestExact(
       case QueueItem::Kind::kNode: {
         const Status loaded = tree.ReadNodePageSoa(item.node, &node);
         if (!loaded.ok()) {
-          PICTDB_RETURN_IF_ERROR(
-              HandleNodeReadFailure(loaded, item.node, stats, options));
-          break;
+          if (SkipUnreadable(loaded, item.node, options, stats)) break;
+          return loaded;
         }
         if (stats != nullptr) ++stats->nodes_visited;
         for (size_t i = 0; i < node.count(); ++i) {

@@ -6,12 +6,14 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "rtree/descent.h"
 #include "simd/dispatch.h"
 
 namespace pictdb::rtree {
 
 using geom::Enlargement;
 using geom::Rect;
+using simd::ForEachSetBit;
 using storage::BufferPool;
 using storage::kInvalidPageId;
 using storage::PageGuard;
@@ -467,204 +469,60 @@ StatusOr<bool> RTree::Contains(const Rect& mbr, const Rid& rid) const {
   return false;
 }
 
-Status RTree::SearchRec(PageId node_id,
-                        const std::function<bool(const Rect&)>& prune,
-                        const std::function<bool(const Rect&)>& accept,
-                        std::vector<LeafHit>* out, SearchStats* stats,
-                        const SearchOptions& options) const {
-  PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-  auto loaded = LoadNode(node_id);
-  if (!loaded.ok()) {
-    if (options.ShouldDegrade(loaded.status())) {
-      // Quarantine the bad page and carry on with the rest of the tree:
-      // a partial answer flagged degraded beats no answer.
-      if (options.quarantine != nullptr) options.quarantine->Add(node_id);
-      if (stats != nullptr) {
-        ++stats->skipped_subtrees;
-        stats->degraded = true;
-      }
-      return Status::OK();
-    }
-    return loaded.status();
-  }
-  const Node node = std::move(loaded).value();
-  if (stats != nullptr) ++stats->nodes_visited;
+namespace {
 
-  if (node.is_leaf()) {
-    for (const Entry& e : node.entries) {
-      if (stats != nullptr) ++stats->entries_tested;
-      if (accept(e.mbr)) {
-        out->push_back(LeafHit{e.mbr, e.AsRid()});
-        if (stats != nullptr) ++stats->results;
-      }
-    }
-    return Status::OK();
+/// Drain a descent to the end: every hit, in entry order.
+StatusOr<std::vector<LeafHit>> CollectHits(const RTree* tree,
+                                           SearchPredicate predicate,
+                                           SearchStats* stats,
+                                           const SearchOptions& options) {
+  Descent descent(tree, std::move(predicate), options,
+                  stats != nullptr ? *stats : SearchStats{});
+  std::vector<LeafHit> out;
+  StatusOr<bool> leaf = descent.NextLeaf();
+  for (; leaf.ok() && *leaf; leaf = descent.NextLeaf()) {
+    const SoaNode& node = descent.leaf();
+    ForEachSetBit(descent.accept_mask(), node.count(), [&](size_t i) {
+      out.push_back(LeafHit{node.RectAt(i), node.RidAt(i)});
+    });
   }
-  for (const Entry& e : node.entries) {
-    if (stats != nullptr) ++stats->entries_tested;
-    if (prune(e.mbr)) {
-      PICTDB_RETURN_IF_ERROR(
-          SearchRec(e.AsChild(), prune, accept, out, stats, options));
-    }
-  }
-  return Status::OK();
+  descent.stats().results += out.size();
+  if (stats != nullptr) *stats = descent.stats();
+  if (!leaf.ok()) return leaf.status();
+  return out;
 }
+
+}  // namespace
 
 StatusOr<std::vector<LeafHit>> RTree::SearchCustom(
     const std::function<bool(const Rect&)>& prune,
     const std::function<bool(const Rect&)>& accept, SearchStats* stats,
     const SearchOptions& options) const {
-  std::vector<LeafHit> out;
-  // Degraded-mode accounting must have somewhere to live even when the
-  // caller did not ask for stats.
-  SearchStats local;
-  SearchStats* s = stats != nullptr ? stats : &local;
-  PICTDB_RETURN_IF_ERROR(SearchRec(root(), prune, accept, &out, s, options));
-  return out;
-}
-
-namespace {
-
-using simd::ForEachSetBit;
-
-/// Shared degraded-mode bookkeeping for a failed node load during the
-/// kernel-driven traversals (mirrors the inline block in SearchRec).
-bool DegradeOrFail(const Status& st, PageId id, SearchStats* stats,
-                   const SearchOptions& options) {
-  if (!options.ShouldDegrade(st)) return false;
-  if (options.quarantine != nullptr) options.quarantine->Add(id);
-  if (stats != nullptr) {
-    ++stats->skipped_subtrees;
-    stats->degraded = true;
-  }
-  return true;
-}
-
-}  // namespace
-
-void RTree::PrefetchUpcoming(const std::vector<PageId>& stack) const {
-#ifdef PICTDB_PREFETCH
-  // The next few pops are the stack tail; deeper entries will be
-  // re-hinted when their turn approaches.
-  constexpr size_t kPrefetchDepth = 4;
-  const size_t n = std::min(stack.size(), kPrefetchDepth);
-  pool_->PrefetchResident(
-      std::span<const PageId>(stack.data() + (stack.size() - n), n));
-#else
-  (void)stack;
-#endif
-}
-
-Status RTree::SearchWindowFast(const Rect& window, WindowMode mode,
-                               std::vector<LeafHit>* out, SearchStats* stats,
-                               const SearchOptions& options) const {
-  const simd::RectKernels& kernels = simd::ActiveKernels();
-  SoaNode node;  // reused across every node visit
-  std::vector<uint64_t> mask;
-  std::vector<PageId> stack = {root()};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const Status loaded = LoadNodeSoa(id, &node);
-    if (!loaded.ok()) {
-      if (DegradeOrFail(loaded, id, stats, options)) continue;
-      return loaded;
-    }
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      stats->entries_tested += node.count();
-    }
-    mask.resize(simd::MaskWords(node.count()));
-    if (node.is_leaf()) {
-      if (mode == WindowMode::kContainedIn) {
-        kernels.contained_in(node.rects(), window, mask.data());
-      } else {
-        kernels.intersects(node.rects(), window, mask.data());
-      }
-      ForEachSetBit(mask.data(), node.count(), [&](size_t i) {
-        out->push_back(LeafHit{node.RectAt(i), node.RidAt(i)});
-        if (stats != nullptr) ++stats->results;
-      });
-      continue;
-    }
-    // Both modes prune interior entries by intersection. Children are
-    // pushed in REVERSE entry order so the pop order — and therefore
-    // the hit order — matches SearchRec's entry-order recursion.
-    kernels.intersects(node.rects(), window, mask.data());
-    const size_t first_child = stack.size();
-    ForEachSetBit(mask.data(), node.count(),
-                  [&](size_t i) { stack.push_back(node.ChildAt(i)); });
-    std::reverse(stack.begin() + static_cast<ptrdiff_t>(first_child),
-                 stack.end());
-    PrefetchUpcoming(stack);
-  }
-  return Status::OK();
-}
-
-Status RTree::SearchPointFast(const geom::Point& p, std::vector<LeafHit>* out,
-                              SearchStats* stats,
-                              const SearchOptions& options) const {
-  const simd::RectKernels& kernels = simd::ActiveKernels();
-  SoaNode node;
-  std::vector<uint64_t> mask;
-  std::vector<PageId> stack = {root()};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const Status loaded = LoadNodeSoa(id, &node);
-    if (!loaded.ok()) {
-      if (DegradeOrFail(loaded, id, stats, options)) continue;
-      return loaded;
-    }
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      stats->entries_tested += node.count();
-    }
-    mask.resize(simd::MaskWords(node.count()));
-    kernels.contains_point(node.rects(), p, mask.data());
-    if (node.is_leaf()) {
-      ForEachSetBit(mask.data(), node.count(), [&](size_t i) {
-        out->push_back(LeafHit{node.RectAt(i), node.RidAt(i)});
-        if (stats != nullptr) ++stats->results;
-      });
-      continue;
-    }
-    const size_t first_child = stack.size();
-    ForEachSetBit(mask.data(), node.count(),
-                  [&](size_t i) { stack.push_back(node.ChildAt(i)); });
-    std::reverse(stack.begin() + static_cast<ptrdiff_t>(first_child),
-                 stack.end());
-    PrefetchUpcoming(stack);
-  }
-  return Status::OK();
+  return CollectHits(this, CustomPredicate(prune, accept), stats, options);
 }
 
 StatusOr<std::vector<LeafHit>> RTree::SearchIntersects(
     const Rect& window, SearchStats* stats,
     const SearchOptions& options) const {
-  std::vector<LeafHit> out;
-  PICTDB_RETURN_IF_ERROR(SearchWindowFast(window, WindowMode::kIntersects,
-                                          &out, stats, options));
-  return out;
+  return CollectHits(this, WindowPredicate(window, /*contained=*/false),
+                     stats, options);
 }
 
 StatusOr<std::vector<LeafHit>> RTree::SearchContainedIn(
     const Rect& window, SearchStats* stats,
     const SearchOptions& options) const {
-  std::vector<LeafHit> out;
-  PICTDB_RETURN_IF_ERROR(SearchWindowFast(window, WindowMode::kContainedIn,
-                                          &out, stats, options));
-  return out;
+  return CollectHits(this, WindowPredicate(window, /*contained=*/true),
+                     stats, options);
 }
 
 StatusOr<std::vector<LeafHit>> RTree::SearchPoint(
     const geom::Point& p, SearchStats* stats,
     const SearchOptions& options) const {
-  std::vector<LeafHit> out;
-  PICTDB_RETURN_IF_ERROR(SearchPointFast(p, &out, stats, options));
-  return out;
+  // rect.Intersects(FromPoint(p)) == rect.Contains(p), empty rects and
+  // NaN coordinates included (tests/simd_kernel_test.cc checks it).
+  return CollectHits(this,
+                     WindowPredicate(Rect::FromPoint(p), /*contained=*/false),
+                     stats, options);
 }
 
 StatusOr<std::vector<BatchHits>> RTree::SearchBatch(
@@ -694,19 +552,15 @@ StatusOr<std::vector<BatchHits>> RTree::SearchBatch(
   while (!stack.empty()) {
     const Frame frame = std::move(stack.back());
     stack.pop_back();
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const Status loaded = LoadNodeSoa(frame.id, &node);
-    if (!loaded.ok()) {
-      if (DegradeOrFail(loaded, frame.id, stats, options)) {
-        // Only the windows that were still active on this subtree are
-        // missing answers.
-        for (const uint32_t q : frame.active) results[q].degraded = true;
-        continue;
-      }
-      return loaded;
+    PICTDB_ASSIGN_OR_RETURN(const bool readable,
+                            VisitNode(*this, frame.id, options, stats, &node));
+    if (!readable) {
+      // Only the windows that were still active on this subtree are
+      // missing answers.
+      for (const uint32_t q : frame.active) results[q].degraded = true;
+      continue;
     }
     if (stats != nullptr) {
-      ++stats->nodes_visited;
       stats->entries_tested += node.count() * frame.active.size();
     }
     mask.resize(simd::MaskWords(node.count()));
@@ -740,16 +594,7 @@ StatusOr<std::vector<BatchHits>> RTree::SearchBatch(
             Frame{node.ChildAt(e), std::move(child_active[e])});
       }
     }
-#ifdef PICTDB_PREFETCH
-    {
-      PageId next[4];
-      size_t n = 0;
-      for (size_t f = stack.size(); f-- > 0 && n < 4;) {
-        next[n++] = stack[f].id;
-      }
-      pool_->PrefetchResident(std::span<const PageId>(next, n));
-    }
-#endif
+    PrefetchUpcoming(pool_, stack, [](const Frame& f) { return f.id; });
   }
   return results;
 }

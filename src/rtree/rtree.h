@@ -181,6 +181,10 @@ class RTree {
                           const storage::Rid& rid) const;
 
   // --- Search (§3.1) ------------------------------------------------------
+  //
+  // Every single-query search below (and SearchCursor) runs the same
+  // depth-first descent (rtree/descent.h), visiting children in entry
+  // order, so all of them return hits in one order.
 
   /// All leaf entries whose MBR intersects `window` (the paper's
   /// INTERSECTS pruning with WITHIN replaced by intersection at the leaf —
@@ -288,8 +292,8 @@ class RTree {
     return LoadNode(id);
   }
 
-  /// SoA variant of ReadNodePage for kernel-driven external traversals
-  /// (spatial join, kNN, cursors): decodes into caller-owned scratch so
+  /// SoA variant of ReadNodePage for kernel-driven traversals (the
+  /// search descent, kNN): decodes into caller-owned scratch so
   /// a traversal that reuses one SoaNode never allocates per node.
   Status ReadNodePageSoa(storage::PageId id, SoaNode* out) const {
     return LoadNodeSoa(id, out);
@@ -387,30 +391,6 @@ class RTree {
                                    const storage::Rid& rid,
                                    std::vector<std::pair<uint16_t, Entry>>*
                                        orphans);
-
-  Status SearchRec(storage::PageId node_id,
-                   const std::function<bool(const geom::Rect&)>& prune,
-                   const std::function<bool(const geom::Rect&)>& accept,
-                   std::vector<LeafHit>* out, SearchStats* stats,
-                   const SearchOptions& options) const;
-
-  /// Kernel-driven traversal behind SearchIntersects / SearchContainedIn
-  /// / SearchPoint: iterative DFS in entry order (preorder identical to
-  /// SearchRec), SoA decode once per node, one kernel call per node
-  /// instead of one predicate call per entry.
-  enum class WindowMode { kIntersects, kContainedIn };
-  Status SearchWindowFast(const geom::Rect& window, WindowMode mode,
-                          std::vector<LeafHit>* out, SearchStats* stats,
-                          const SearchOptions& options) const;
-  Status SearchPointFast(const geom::Point& p, std::vector<LeafHit>* out,
-                         SearchStats* stats,
-                         const SearchOptions& options) const;
-
-  /// Hint the buffer pool about the nodes the DFS will pop next (the
-  /// tail of `stack`), so a resident child's bytes are warming in
-  /// cache while the current node is scanned. No-op unless built with
-  /// PICTDB_PREFETCH.
-  void PrefetchUpcoming(const std::vector<storage::PageId>& stack) const;
 
   Status ValidateRec(storage::PageId node_id, uint16_t expected_level,
                      const geom::Rect* parent_mbr, uint64_t* leaf_entries,

@@ -360,7 +360,6 @@ Status BufferPool::FlushAll() {
 }
 
 void BufferPool::PrefetchResident(std::span<const PageId> ids) {
-#ifdef PICTDB_PREFETCH
   for (const PageId id : ids) {
     Shard& shard = ShardForPage(id);
     const char* data = nullptr;
@@ -381,9 +380,6 @@ void BufferPool::PrefetchResident(std::span<const PageId> ids) {
       __builtin_prefetch(data + off, /*rw=*/0, /*locality=*/2);
     }
   }
-#else
-  (void)ids;
-#endif
 }
 
 }  // namespace pictdb::storage

@@ -199,9 +199,9 @@ class BufferPool {
   /// already resident. Purely advisory: misses are skipped (never
   /// faulted in), a racing eviction only wastes the hint, and the
   /// frames are not pinned or touched logically (no LRU update, no
-  /// stats). The R-tree descent calls this on the next few stack
+  /// stats). The R-tree descents call this on the next few stack
   /// entries so a child's page bytes are in cache by the time its
-  /// SIMD scan starts. Compiles to nothing without PICTDB_PREFETCH.
+  /// SIMD scan starts.
   void PrefetchResident(std::span<const PageId> ids);
 
   DiskManager* disk() const { return disk_; }

@@ -7,6 +7,7 @@
 #include "pack/pack.h"
 #include "pack/repack.h"
 #include "pack/str.h"
+#include "rtree/cursor.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "simd/dispatch.h"
@@ -197,6 +198,98 @@ TEST(GoldenDeterminismTest, BatchSearchMatchesSingleWindowSearches) {
     }
     EXPECT_GT(nonempty, 0u) << "vacuous batch comparison";
   }
+}
+
+std::vector<rtree::LeafHit> DrainCursor(rtree::SearchCursor cursor) {
+  std::vector<rtree::LeafHit> hits;
+  for (;;) {
+    auto next = cursor.Next();
+    PICTDB_CHECK(next.ok());
+    if (!next->has_value()) return hits;
+    hits.push_back(**next);
+  }
+}
+
+// Every single-query search runs one descent, so the streaming cursor,
+// the generic-predicate search and the kernel-driven window searches
+// must agree hit for hit AND in order, under either kernel family.
+TEST(GoldenDeterminismTest, CursorAndCustomSearchMatchWindowSearchOrder) {
+  storage::InMemoryDiskManager disk(512);
+  storage::BufferPool pool(&disk, 8192);
+  auto created = RTree::Create(&pool);
+  PICTDB_CHECK(created.ok());
+  RTree tree = std::move(created).value();
+  PICTDB_CHECK_OK(PackNearestNeighbor(&tree, SeededEntries(89, 2000)));
+
+  std::vector<geom::Rect> windows = SeededWindows(90, 48);
+  windows.push_back(workload::PaperFrame());
+  // nullptr = the runtime-selected family.
+  for (const simd::RectKernels* family :
+       {&simd::ScalarKernels(), static_cast<const simd::RectKernels*>(
+                                    nullptr)}) {
+    simd::ScopedKernelOverride force(family);
+    size_t multi_leaf = 0;
+    for (const geom::Rect& window : windows) {
+      rtree::SearchStats stats;
+      auto intersects = tree.SearchIntersects(window, &stats);
+      PICTDB_CHECK(intersects.ok());
+      if (stats.nodes_visited > tree.Height()) ++multi_leaf;
+      EXPECT_TRUE(SameHits(
+          DrainCursor(rtree::SearchCursor::Intersects(&tree, window)),
+          *intersects))
+          << "intersects cursor streams out of order";
+
+      auto contained = tree.SearchContainedIn(window);
+      PICTDB_CHECK(contained.ok());
+      EXPECT_TRUE(SameHits(
+          DrainCursor(rtree::SearchCursor::ContainedIn(&tree, window)),
+          *contained))
+          << "contained-in cursor streams out of order";
+
+      auto custom = tree.SearchCustom(
+          [&window](const geom::Rect& r) { return r.Intersects(window); },
+          [&window](const geom::Rect& r) { return r.Intersects(window); });
+      PICTDB_CHECK(custom.ok());
+      EXPECT_TRUE(SameHits(*custom, *intersects))
+          << "SearchCustom diverges from SearchIntersects";
+    }
+    EXPECT_GT(multi_leaf, 0u) << "no window reached two leaves";
+  }
+}
+
+TEST(GoldenDeterminismTest, PointSearchIsIdenticalAcrossKernelFamilies) {
+  storage::InMemoryDiskManager disk(512);
+  storage::BufferPool pool(&disk, 8192);
+  auto created = RTree::Create(&pool);
+  PICTDB_CHECK(created.ok());
+  RTree tree = std::move(created).value();
+  const std::vector<Entry> entries = SeededEntries(91, 2000);
+  PICTDB_CHECK_OK(PackNearestNeighbor(&tree, entries));
+
+  // Stored points (hits) and window corners (mostly misses).
+  std::vector<geom::Point> probes;
+  for (size_t i = 0; i < entries.size(); i += 40) {
+    probes.push_back(entries[i].mbr.lo);
+  }
+  for (const geom::Rect& window : SeededWindows(92, 16)) {
+    probes.push_back(window.lo);
+  }
+  size_t nonempty = 0;
+  for (const geom::Point& p : probes) {
+    std::vector<rtree::LeafHit> scalar_hits;
+    {
+      simd::ScopedKernelOverride force(&simd::ScalarKernels());
+      auto r = tree.SearchPoint(p);
+      PICTDB_CHECK(r.ok());
+      scalar_hits = std::move(r).value();
+    }
+    auto r = tree.SearchPoint(p);
+    PICTDB_CHECK(r.ok());
+    EXPECT_TRUE(SameHits(scalar_hits, *r))
+        << "point search diverges between kernel families";
+    if (!scalar_hits.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 0u) << "vacuous point comparison";
 }
 
 TEST(GoldenDeterminismTest, SoaDecodeLeavesDiskImageUnchanged) {

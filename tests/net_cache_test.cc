@@ -26,7 +26,7 @@ TEST(ResultCacheTest, HitReturnsByteIdenticalPayload) {
   ResultCache cache(1 << 20, 4);
   const std::string key = KeyFor(0, 0, 10, 10);
   const std::string payload = "\x00\x01\x02 arbitrary response bytes \xff";
-  cache.Insert(key, payload);
+  cache.Insert(key, payload, cache.epoch());
 
   std::string got;
   ASSERT_TRUE(cache.Lookup(key, &got));
@@ -44,7 +44,7 @@ TEST(ResultCacheTest, MissOnAbsentAndEmptyKey) {
   EXPECT_FALSE(cache.Lookup(KeyFor(1, 1, 2, 2), &got));
   EXPECT_EQ(cache.Stats().misses, 1u);
   // Empty keys (non-cacheable requests) never hit and never insert.
-  cache.Insert("", "payload");
+  cache.Insert("", "payload", cache.epoch());
   EXPECT_FALSE(cache.Lookup("", &got));
   EXPECT_EQ(cache.Stats().entries, 0u);
 }
@@ -52,7 +52,7 @@ TEST(ResultCacheTest, MissOnAbsentAndEmptyKey) {
 TEST(ResultCacheTest, ZeroCapacityDisablesCaching) {
   ResultCache cache(0, 4);
   const std::string key = KeyFor(0, 0, 1, 1);
-  cache.Insert(key, "data");
+  cache.Insert(key, "data", cache.epoch());
   std::string got;
   EXPECT_FALSE(cache.Lookup(key, &got));
   EXPECT_EQ(cache.Stats().entries, 0u);
@@ -65,13 +65,13 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsedUnderPressure) {
   std::vector<std::string> keys;
   for (int i = 0; i < 5; ++i) {
     keys.push_back(KeyFor(i, i, i + 1, i + 1));
-    cache.Insert(keys.back(), payload);
+    cache.Insert(keys.back(), payload, cache.epoch());
   }
   // Touch key 0 so it is recent; insert one more to force eviction.
   std::string got;
   if (cache.Lookup(keys[0], &got)) {
     keys.push_back(KeyFor(99, 99, 100, 100));
-    cache.Insert(keys.back(), payload);
+    cache.Insert(keys.back(), payload, cache.epoch());
     // Key 0 was refreshed, so it should still be resident if anything is.
     const ResultCacheStats s = cache.Stats();
     EXPECT_GT(s.evictions, 0u);
@@ -87,7 +87,7 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsedUnderPressure) {
 TEST(ResultCacheTest, OversizedPayloadIsNotCached) {
   ResultCache cache(1024, 1);
   const std::string key = KeyFor(0, 0, 1, 1);
-  cache.Insert(key, std::string(4096, 'y'));
+  cache.Insert(key, std::string(4096, 'y'), cache.epoch());
   std::string got;
   EXPECT_FALSE(cache.Lookup(key, &got));
   EXPECT_EQ(cache.Stats().entries, 0u);
@@ -98,7 +98,7 @@ TEST(ResultCacheTest, EpochBumpInvalidatesEverything) {
   std::vector<std::string> keys;
   for (int i = 0; i < 16; ++i) {
     keys.push_back(KeyFor(i, 0, i + 1, 1));
-    cache.Insert(keys.back(), "resp" + std::to_string(i));
+    cache.Insert(keys.back(), "resp" + std::to_string(i), cache.epoch());
   }
   std::string got;
   ASSERT_TRUE(cache.Lookup(keys[3], &got));
@@ -114,16 +114,30 @@ TEST(ResultCacheTest, EpochBumpInvalidatesEverything) {
   EXPECT_EQ(s.bytes, 0u);
 
   // Fresh inserts after the bump hit normally.
-  cache.Insert(keys[0], "new answer");
+  cache.Insert(keys[0], "new answer", cache.epoch());
   ASSERT_TRUE(cache.Lookup(keys[0], &got));
   EXPECT_EQ(got, "new answer");
+}
+
+TEST(ResultCacheTest, AnswerComputedAcrossEpochBumpIsNotCached) {
+  // A query misses, a commit bumps the epoch while the query executes,
+  // then the (possibly pre-commit) answer arrives: it must not be served.
+  ResultCache cache(1 << 20, 4);
+  const std::string key = KeyFor(2, 2, 3, 3);
+  const uint64_t epoch = cache.epoch();
+  std::string got;
+  ASSERT_FALSE(cache.Lookup(key, &got));
+  cache.BumpEpoch();
+  cache.Insert(key, "pre-commit answer", epoch);
+  EXPECT_FALSE(cache.Lookup(key, &got));
+  EXPECT_EQ(cache.Stats().insertions, 0u);
 }
 
 TEST(ResultCacheTest, InsertOverwritesSameKey) {
   ResultCache cache(1 << 20, 2);
   const std::string key = KeyFor(5, 5, 6, 6);
-  cache.Insert(key, "v1");
-  cache.Insert(key, "v2-longer-payload");
+  cache.Insert(key, "v1", cache.epoch());
+  cache.Insert(key, "v2-longer-payload", cache.epoch());
   std::string got;
   ASSERT_TRUE(cache.Lookup(key, &got));
   EXPECT_EQ(got, "v2-longer-payload");
@@ -140,7 +154,8 @@ TEST(ResultCacheTest, ConcurrentMixedTrafficIsSafe) {
       for (int i = 0; i < kOps; ++i) {
         const std::string key = KeyFor(i % 37, t, i % 37 + 1, t + 1);
         if (i % 3 == 0) {
-          cache.Insert(key, std::string(64, static_cast<char>('a' + t)));
+          cache.Insert(key, std::string(64, static_cast<char>('a' + t)),
+                       cache.epoch());
         } else if (i % 97 == 0) {
           cache.BumpEpoch();
         } else {

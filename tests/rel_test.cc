@@ -30,6 +30,14 @@ Schema CitySchema() {
                  {"loc", ValueType::kGeometry}});
 }
 
+/// "c<i>", built by appending: GCC 12 misreads `"c" + std::string&&` as
+/// an overlapping memcpy (-Wrestrict) in optimized builds.
+std::string CityName(int i) {
+  std::string name = "c";
+  name += std::to_string(i);
+  return name;
+}
+
 Tuple CityTuple(const std::string& name, int64_t pop, double x, double y) {
   return Tuple({Value(name), Value(pop), Value(Geometry(Point{x, y}))});
 }
@@ -157,7 +165,7 @@ TEST(RelationTest, BTreeIndexBackfillsAndMaintains) {
   // Pre-index rows.
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(
-        rel->Insert(CityTuple("c" + std::to_string(i), i * 100, i, i)).ok());
+        rel->Insert(CityTuple(CityName(i), i * 100, i, i)).ok());
   }
   ASSERT_TRUE(rel->CreateBTreeIndex("population").ok());
   EXPECT_TRUE(rel->HasBTreeIndex("population"));
@@ -165,7 +173,7 @@ TEST(RelationTest, BTreeIndexBackfillsAndMaintains) {
   std::vector<Rid> extra;
   for (int i = 20; i < 30; ++i) {
     auto rid =
-        rel->Insert(CityTuple("c" + std::to_string(i), i * 100, i, i));
+        rel->Insert(CityTuple(CityName(i), i * 100, i, i));
     ASSERT_TRUE(rid.ok());
     extra.push_back(*rid);
   }
@@ -188,7 +196,7 @@ TEST(RelationTest, IndexRangeOpenEnds) {
   ASSERT_TRUE(rel.ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        rel->Insert(CityTuple("c" + std::to_string(i), i, i, i)).ok());
+        rel->Insert(CityTuple(CityName(i), i, i, i)).ok());
   }
   ASSERT_TRUE(rel->CreateBTreeIndex("population").ok());
   auto below = rel->IndexRange("population", Value(), Value(int64_t{4}));
@@ -212,7 +220,7 @@ TEST(RelationTest, SpatialIndexPackedAndMaintained) {
   auto rel = Relation::Create(&env.pool, "cities", CitySchema());
   ASSERT_TRUE(rel.ok());
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(rel->Insert(CityTuple("c" + std::to_string(i), i,
+    ASSERT_TRUE(rel->Insert(CityTuple(CityName(i), i,
                                       i * 10.0, (i % 7) * 10.0))
                     .ok());
   }
@@ -249,7 +257,7 @@ TEST(RelationTest, SpatialLoaderVariants) {
     auto rel = Relation::Create(&env.pool, "cities", CitySchema());
     ASSERT_TRUE(rel.ok());
     for (int i = 0; i < 25; ++i) {
-      ASSERT_TRUE(rel->Insert(CityTuple("c" + std::to_string(i), i,
+      ASSERT_TRUE(rel->Insert(CityTuple(CityName(i), i,
                                         i * 7.0, i * 3.0))
                       .ok());
     }
@@ -285,7 +293,7 @@ TEST(CatalogTest, PicturesAndAssociations) {
   ASSERT_TRUE(cities.ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE((*cities)
-                    ->Insert(CityTuple("c" + std::to_string(i), i, i, i))
+                    ->Insert(CityTuple(CityName(i), i, i, i))
                     .ok());
   }
   ASSERT_TRUE(catalog.CreatePicture("us-map", Rect(0, 0, 100, 100)).ok());

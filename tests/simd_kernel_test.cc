@@ -152,6 +152,30 @@ TEST(SimdKernelDifferential, BitIdenticalToScalarOnAdversarialRects) {
   }
 }
 
+// Point search runs as a degenerate-window intersection; in every
+// family contains_point(p) must equal intersects(Rect{p,p}), empty and
+// NaN lanes and NaN probes included.
+TEST(SimdKernelDifferential, ContainsPointEqualsDegenerateIntersects) {
+  std::vector<const RectKernels*> families = VectorFamilies();
+  families.push_back(&ScalarKernels());
+  for (size_t count = 0; count <= 67; ++count) {
+    const Lanes lanes(count);
+    const RectSoa soa = lanes.View();
+    const size_t words = MaskWords(count);
+    std::vector<uint64_t> want(words + 1), got(words + 1);
+    for (const RectKernels* family : families) {
+      const std::vector<Point> points = PointCorpus();
+      for (size_t pi = 0; pi < points.size(); ++pi) {
+        const Point& p = points[pi];
+        family->contains_point(soa, p, want.data());
+        family->intersects(soa, MakeRaw(p.x, p.y, p.x, p.y), got.data());
+        ExpectMasksEqual(want, got, count, family->name,
+                         "intersects(point rect)", pi);
+      }
+    }
+  }
+}
+
 // The scalar kernels ARE the geom::Rect predicates, lane by lane — the
 // anchor that makes the differential test above meaningful.
 TEST(SimdKernelDifferential, ScalarMatchesRectPredicates) {
