@@ -27,7 +27,6 @@
 #include "check/invariants.h"
 #include "common/random.h"
 #include "pack/external.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
 #include "pack/str.h"
 #include "workload/generators.h"
@@ -86,7 +85,9 @@ pictdb::Status LoadStr(pictdb::rtree::RTree* tree,
 }
 pictdb::Status LoadHilbert(pictdb::rtree::RTree* tree,
                            std::vector<pictdb::rtree::Entry> items) {
-  return pictdb::pack::PackHilbert(tree, std::move(items));
+  return pictdb::pack::Pack(
+      tree, std::move(items),
+      {.strategy = pictdb::pack::PackStrategy::kHilbert});
 }
 
 BENCHMARK(BM_BuildInsert)->Arg(10000)->Arg(50000)

@@ -21,7 +21,6 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
 #include "pack/str.h"
 #include "simd/dispatch.h"
@@ -71,8 +70,9 @@ TreeEnv BuildTree(int64_t builder, size_t n) {
       PICTDB_CHECK_OK(pictdb::pack::PackStr(env.tree.get(), std::move(items)));
       break;
     case kHilbert:
-      PICTDB_CHECK_OK(
-          pictdb::pack::PackHilbert(env.tree.get(), std::move(items)));
+      PICTDB_CHECK_OK(pictdb::pack::Pack(
+          env.tree.get(), std::move(items),
+          {.strategy = pictdb::pack::PackStrategy::kHilbert}));
       break;
   }
   return env;

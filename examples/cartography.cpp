@@ -11,7 +11,6 @@
 #include <cstdlib>
 
 #include "common/random.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
 #include "pack/str.h"
 #include "rtree/metrics.h"
@@ -98,7 +97,8 @@ int main(int argc, char** argv) {
         PICTDB_CHECK_OK(pack::PackStr(&*tree, std::move(items)));
         break;
       case 4:
-        PICTDB_CHECK_OK(pack::PackHilbert(&*tree, std::move(items)));
+        PICTDB_CHECK_OK(pack::Pack(&*tree, std::move(items),
+                                   {.strategy = pack::PackStrategy::kHilbert}));
         break;
     }
     const auto built = std::chrono::steady_clock::now();

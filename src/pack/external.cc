@@ -1,7 +1,11 @@
+// The one node writer and level builder every packer finishes with, and
+// the sort-and-chunk pipeline (PackExternal) behind kSortChunk/kHilbert.
+
 #include "pack/external.h"
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -25,8 +29,8 @@ static_assert(std::is_trivially_copyable_v<Entry>,
 static_assert(kSpillRecordSize == 8 + 4 * sizeof(double) + 8,
               "spill record = key + 4 MBR coords + payload, no padding");
 
-/// The unit of the in-memory sort buffer; memory_budget_bytes is
-/// accounted in these.
+/// The unit of the sort buffer; memory_budget_bytes is accounted in
+/// these.
 struct KeyedEntry {
   uint64_t key;
   Entry entry;
@@ -160,7 +164,64 @@ Status MergeRuns(SpillFile* file, const std::vector<SpillRunHandle>& runs,
   return status;
 }
 
+/// The one node writer every packer shares: writes `group` as a node
+/// at `level` and returns the parent entry that points at it.
+StatusOr<Entry> WritePackedNode(RTree* tree, uint16_t level,
+                                const std::vector<Entry>& group) {
+  PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
+                          tree->BulkWriteNode(level, group));
+  Entry parent;
+  for (const Entry& e : group) parent.mbr.ExpandToInclude(e.mbr);
+  parent.payload = Entry::PayloadFromChild(page);
+  return parent;
+}
+
+/// Bottom-up construction from `items`, the entries of level `level`
+/// (already written when level > 0): applies `grouping` per level until
+/// the remaining entries fit into a single root node. `leaf_count` is
+/// the tree's final Size().
+Status BulkLoadFromLevel(RTree* tree, std::vector<Entry> items, uint16_t level,
+                         uint64_t leaf_count, const GroupingFn& grouping) {
+  const size_t max = tree->options().max_entries;
+  while (items.size() > max) {
+    const std::vector<std::vector<Entry>> groups = grouping(items, max);
+    PICTDB_CHECK(groups.size() > 1) << "grouping must make progress";
+    std::vector<Entry> parents;
+    parents.reserve(groups.size());
+    for (const std::vector<Entry>& g : groups) {
+      PICTDB_CHECK(!g.empty() && g.size() <= max);
+      PICTDB_ASSIGN_OR_RETURN(const Entry parent,
+                              WritePackedNode(tree, level, g));
+      parents.push_back(parent);
+    }
+    items = std::move(parents);
+    ++level;
+  }
+  PICTDB_ASSIGN_OR_RETURN(const Entry root,
+                          WritePackedNode(tree, level, items));
+  return tree->BulkSetRoot(root.AsChild(), level + 1u, leaf_count);
+}
+
 }  // namespace
+
+Status BulkLoad(RTree* tree, std::vector<Entry> leaf_items,
+                const GroupingFn& grouping) {
+  if (tree->Size() != 0) {
+    return Status::InvalidArgument("bulk load target tree is not empty");
+  }
+  PICTDB_RETURN_IF_ERROR(ValidatePackEntries(leaf_items));
+  if (leaf_items.empty()) return Status::OK();
+  const uint64_t size = leaf_items.size();
+  const size_t max = tree->options().max_entries;
+  if (leaf_items.size() <= max) {
+    // Everything fits in the root leaf. Still order it through the
+    // grouping so a one-node tree reflects the packer's criterion.
+    std::vector<std::vector<Entry>> groups = grouping(leaf_items, max);
+    PICTDB_CHECK(groups.size() == 1);
+    leaf_items = std::move(groups[0]);
+  }
+  return BulkLoadFromLevel(tree, std::move(leaf_items), 0, size, grouping);
+}
 
 Status PackExternal(RTree* tree, EntrySource* source,
                     const PackOptions& options, ExternalPackStats* stats_out,
@@ -178,33 +239,40 @@ Status PackExternal(RTree* tree, EntrySource* source,
       break;
     default:
       return Status::NotSupported(
-          "external pack supports only the sort-chunk strategies "
-          "(kSortChunk / kHilbert); nearest-neighbor and STR groupings "
-          "need random access to a full level");
+          "the sort-and-chunk pipeline supports only kSortChunk / kHilbert; "
+          "nearest-neighbor and STR groupings need random access to a "
+          "full level");
   }
 
-  constexpr uint64_t kDefaultBudget = 64ull << 20;
-  const uint64_t budget = options.memory_budget_bytes != 0
-                              ? options.memory_budget_bytes
-                              : kDefaultBudget;
   ExternalPackStats stats;
-  stats.run_capacity_entries =
-      std::max<uint64_t>(1, budget / sizeof(KeyedEntry));
-  const size_t run_capacity = static_cast<size_t>(stats.run_capacity_entries);
+  const uint64_t budget = options.memory_budget_bytes;
+  if (budget != 0) {
+    stats.run_capacity_entries =
+        std::max<uint64_t>(1, budget / sizeof(KeyedEntry));
+  }
+  const size_t run_capacity =
+      budget != 0 ? static_cast<size_t>(stats.run_capacity_entries)
+                  : std::numeric_limits<size_t>::max();
 
   // The Hilbert key quantizes against the union of every MBR, which a
   // one-pass stream cannot know up front — learn the frame (and reject
   // invalid entries before any I/O) in a dedicated pass, then rewind.
+  // That pass also counts the input, so the sort buffer is sized once
+  // instead of grown by doubling.
   geom::Rect frame;
+  Entry e;
+  size_t buffer_size = run_capacity;  // unknown (max) without a budget
   if (criterion == SortCriterion::kHilbert) {
-    Entry e;
+    size_t count = 0;
     while (true) {
       PICTDB_ASSIGN_OR_RETURN(const bool more, source->Next(&e));
       if (!more) break;
       PICTDB_RETURN_IF_ERROR(ValidatePackEntry(e));
       frame.ExpandToInclude(e.mbr);
+      ++count;
     }
     PICTDB_RETURN_IF_ERROR(source->Rewind());
+    buffer_size = std::min(count, run_capacity);
   }
 
   SpillFileManager local_manager(options.spill_dir);
@@ -214,49 +282,56 @@ Status PackExternal(RTree* tree, EntrySource* source,
   std::vector<SpillRunHandle> runs;
 
   // --- Run formation: budget-sized buffers, stable-sorted by key -----
-  {
-    std::vector<KeyedEntry> buffer;
-    buffer.reserve(run_capacity);
-    char rec[kSpillRecordSize];
-    auto flush_run = [&]() -> Status {
-      if (buffer.empty()) return Status::OK();
-      std::stable_sort(buffer.begin(), buffer.end(),
-                       [](const KeyedEntry& a, const KeyedEntry& b) {
-                         return a.key < b.key;
-                       });
-      if (spill == nullptr) {
-        PICTDB_ASSIGN_OR_RETURN(spill, manager->Create());
-      }
-      SpillRunWriter writer(spill.get(), kSpillRecordSize);
-      for (const KeyedEntry& ke : buffer) {
-        EncodeSpillRecord(ke.key, ke.entry, rec);
-        PICTDB_RETURN_IF_ERROR(writer.Append(rec));
-      }
-      PICTDB_ASSIGN_OR_RETURN(const SpillRunHandle run, writer.Finish());
-      stats.spill_pages_written += writer.pages_written();
-      runs.push_back(run);
-      buffer.clear();
-      return Status::OK();
-    };
-
-    Entry e;
-    while (true) {
-      PICTDB_ASSIGN_OR_RETURN(const bool more, source->Next(&e));
-      if (!more) break;
-      PICTDB_RETURN_IF_ERROR(ValidatePackEntry(e));
-      buffer.push_back(KeyedEntry{SortKey(e, criterion, frame), e});
-      ++stats.entries;
-      if (buffer.size() == run_capacity) PICTDB_RETURN_IF_ERROR(flush_run());
+  // A full buffer spills only when one more entry arrives, so input that
+  // fits one buffer stays a single in-memory run and the spill file is
+  // never created. Once anything has spilled, the last buffer spills
+  // too: holding it through the merge would add up to the budget to
+  // peak memory.
+  std::vector<KeyedEntry> buffer;
+  if (buffer_size != std::numeric_limits<size_t>::max()) {
+    buffer.reserve(buffer_size);
+  }
+  auto seal_run = [&](bool spill_it) -> Status {
+    std::stable_sort(buffer.begin(), buffer.end(),
+                     [](const KeyedEntry& a, const KeyedEntry& b) {
+                       return a.key < b.key;
+                     });
+    if (!spill_it) return Status::OK();
+    if (spill == nullptr) {
+      PICTDB_ASSIGN_OR_RETURN(spill, manager->Create());
     }
-    PICTDB_RETURN_IF_ERROR(flush_run());
-  }  // sort buffer released before the merge stage allocates its pages
+    SpillRunWriter writer(spill.get(), kSpillRecordSize);
+    char rec[kSpillRecordSize];
+    for (const KeyedEntry& ke : buffer) {
+      EncodeSpillRecord(ke.key, ke.entry, rec);
+      PICTDB_RETURN_IF_ERROR(writer.Append(rec));
+    }
+    PICTDB_ASSIGN_OR_RETURN(const SpillRunHandle run, writer.Finish());
+    stats.spill_pages_written += writer.pages_written();
+    runs.push_back(run);
+    buffer.clear();
+    return Status::OK();
+  };
+  while (true) {
+    PICTDB_ASSIGN_OR_RETURN(const bool more, source->Next(&e));
+    if (!more) break;
+    PICTDB_RETURN_IF_ERROR(ValidatePackEntry(e));
+    if (buffer.size() == run_capacity) {
+      PICTDB_RETURN_IF_ERROR(seal_run(/*spill_it=*/true));
+    }
+    buffer.push_back(KeyedEntry{SortKey(e, criterion, frame), e});
+    ++stats.entries;
+  }
+  PICTDB_RETURN_IF_ERROR(seal_run(/*spill_it=*/!runs.empty()));
 
-  stats.spill_runs = runs.size();
   const uint64_t total = stats.entries;
   if (total == 0) {
     if (stats_out != nullptr) *stats_out = stats;
     return Status::OK();
   }
+  stats.spill_runs = runs.empty() ? 1 : runs.size();
+  // The sort buffer is released before a merge allocates its pages.
+  if (!runs.empty()) std::vector<KeyedEntry>().swap(buffer);
 
   // --- Cascaded merges when the run count exceeds the fan-in ---------
   // Always merge the FIRST kSpillMergeMaxFanIn runs and put the result
@@ -283,58 +358,45 @@ Status PackExternal(RTree* tree, EntrySource* source,
     runs = std::move(next);
   }
 
-  // --- Final merge, streamed straight into packed leaves -------------
-  // Mirrors BulkLoad exactly: when everything fits in one node the
-  // merged stream IS the root; otherwise consecutive chunks of B become
-  // leaves and the (B-times-smaller) parent entries finish in memory
-  // through the shared sort-chunk grouping.
+  // --- Sorted stream → packed leaves ---------------------------------
+  // The one in-memory run, or the final merge of the spilled runs, is
+  // cut into consecutive chunks of B that become leaves; their
+  // (B-times-smaller) parent entries finish in memory through the shared
+  // sort-chunk grouping. A stream that fits one node is the root leaf.
   const size_t max = tree->options().max_entries;
+  const bool root_leaf = total <= max;
   std::vector<Entry> group;
   group.reserve(std::min<uint64_t>(total, max));
   std::vector<Entry> parents;
-  if (total > max) {
-    parents.reserve(static_cast<size_t>((total + max - 1) / max));
-  }
-  PICTDB_RETURN_IF_ERROR(MergeRuns(
-      spill.get(), runs, &stats.spill_pages_read,
-      [&](uint64_t /*key*/, const Entry& entry) -> Status {
-        group.push_back(entry);
-        if (total > max && group.size() == max) {
-          PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
-                                  tree->BulkWriteNode(0, group));
-          Entry parent;
-          for (const Entry& ge : group) parent.mbr.ExpandToInclude(ge.mbr);
-          parent.payload = Entry::PayloadFromChild(page);
-          parents.push_back(parent);
-          group.clear();
-        }
-        return Status::OK();
-      }));
-  ++stats.merge_passes;
-  spill.reset();  // unlink the scratch file before the tail build
-
-  Status finish = Status::OK();
-  if (total <= max) {
-    PICTDB_CHECK(group.size() == total);
-    PICTDB_ASSIGN_OR_RETURN(const storage::PageId root,
-                            tree->BulkWriteNode(0, group));
-    finish = tree->BulkSetRoot(root, 1, total);
+  auto write_leaf = [&]() -> Status {
+    PICTDB_ASSIGN_OR_RETURN(const Entry parent,
+                            WritePackedNode(tree, 0, group));
+    parents.push_back(parent);
+    group.clear();
+    return Status::OK();
+  };
+  auto emit = [&](const Entry& entry) -> Status {
+    group.push_back(entry);
+    return !root_leaf && group.size() == max ? write_leaf() : Status::OK();
+  };
+  if (runs.empty()) {
+    for (const KeyedEntry& ke : buffer) PICTDB_RETURN_IF_ERROR(emit(ke.entry));
   } else {
-    if (!group.empty()) {
-      PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
-                              tree->BulkWriteNode(0, group));
-      Entry parent;
-      for (const Entry& ge : group) parent.mbr.ExpandToInclude(ge.mbr);
-      parent.payload = Entry::PayloadFromChild(page);
-      parents.push_back(parent);
-    }
-    finish = BulkLoadFromLevel(
-        tree, std::move(parents), 1, total,
-        [criterion](const std::vector<Entry>& items, size_t m) {
-          return GroupSortChunk(items, m, criterion);
-        });
+    PICTDB_RETURN_IF_ERROR(
+        MergeRuns(spill.get(), runs, &stats.spill_pages_read,
+                  [&emit](uint64_t /*key*/, const Entry& entry) {
+                    return emit(entry);
+                  }));
+    ++stats.merge_passes;
+    spill.reset();  // unlink the scratch file before the upper levels
   }
-  PICTDB_RETURN_IF_ERROR(finish);
+
+  if (!root_leaf && !group.empty()) PICTDB_RETURN_IF_ERROR(write_leaf());
+  PICTDB_RETURN_IF_ERROR(BulkLoadFromLevel(
+      tree, std::move(root_leaf ? group : parents), root_leaf ? 0 : 1, total,
+      [criterion](const std::vector<Entry>& items, size_t m) {
+        return GroupSortChunk(items, m, criterion);
+      }));
   if (stats_out != nullptr) *stats_out = stats;
   return Status::OK();
 }

@@ -13,11 +13,11 @@
 
 namespace pictdb::pack {
 
-/// Streaming supplier of leaf entries for the external loader: the whole
-/// point of the out-of-core path is that the caller never has to hold
-/// the full entry list, so input arrives as a pull stream that can be
-/// rewound (the Hilbert criterion needs one extra pass to learn the
-/// quantization frame before keys can be computed).
+/// Streaming supplier of leaf entries for the sort-and-chunk pipeline:
+/// a caller packing more than fits in memory never has to hold the full
+/// entry list, so input arrives as a pull stream that can be rewound
+/// (the Hilbert criterion needs one extra pass to learn the quantization
+/// frame before keys can be computed).
 class EntrySource {
  public:
   virtual ~EntrySource() = default;
@@ -52,16 +52,16 @@ class VectorEntrySource final : public EntrySource {
   size_t index_ = 0;
 };
 
-/// How the external pack spent its I/O; reported by bench/build_micro
-/// and asserted by tests (e.g. "a 64 MiB budget over 5M entries really
-/// did spill multiple runs").
+/// How the pack spent its I/O; reported by bench/build_micro and
+/// asserted by tests (e.g. "a 64 MiB budget over 5M entries really did
+/// spill multiple runs", "input that fits one buffer spilled nothing").
 struct ExternalPackStats {
   uint64_t entries = 0;
-  uint64_t spill_runs = 0;     // initial sorted runs formed
+  uint64_t spill_runs = 0;     // sorted runs formed (1 when none spilled)
   uint64_t merge_passes = 0;   // cascade merges + the final merge
   uint64_t spill_pages_written = 0;
   uint64_t spill_pages_read = 0;
-  uint64_t run_capacity_entries = 0;  // entries per in-memory sort buffer
+  uint64_t run_capacity_entries = 0;  // entries per sort buffer; 0 = no bound
 };
 
 /// Fan-in of one merge pass. More runs than this triggers cascaded
@@ -74,23 +74,24 @@ inline constexpr size_t kSpillMergeMaxFanIn = 64;
 /// formation, so merges never re-derive them.
 inline constexpr size_t kSpillRecordSize = 8 + sizeof(rtree::Entry);
 
-/// Out-of-core bulk load: sort `source` by the options' criterion in
-/// buffers of at most `options.memory_budget_bytes` (0 → 64 MiB),
-/// spill each buffer as a CRC-framed sorted run, k-way merge the runs
-/// with a loser tree, and stream the merged order directly into packed
-/// leaves (`RTree::BulkWriteNode`); upper levels are built from the
-/// B-times-smaller parent stream in memory. Only the sort-chunk
-/// strategies are supported (kSortChunk with any criterion, or kHilbert
-/// which forces the Hilbert criterion) — the nearest-neighbor and STR
-/// groupings need random access to the full level.
+/// The sort-and-chunk pipeline behind every kSortChunk and kHilbert
+/// pack (the paper's PACK ordering with sort-and-chunk grouping): key
+/// `source` by the options' criterion (kHilbert forces the Hilbert
+/// criterion), stable-sort by key, and stream the sorted order straight
+/// into packed leaves (`RTree::BulkWriteNode`); upper levels are built
+/// from the B-times-smaller parent stream in memory. The nearest-neighbor
+/// and STR groupings need random access to a whole level and return
+/// NotSupported.
 ///
-/// The result is byte-identical to the in-memory
-/// `PackSortChunk(tree, items, options)` of the same entry stream:
-/// runs are consecutive input chunks, each stable-sorted by key, and
-/// the merge breaks key ties by run position, which reproduces the
-/// global stable sort exactly.
+/// `options.memory_budget_bytes` bounds the sort buffer; 0 means no
+/// bound. Input that fits one buffer is sorted in memory and never
+/// touches disk: no spill file is created. Larger input is cut into
+/// consecutive buffer-sized runs, each stable-sorted and spilled as a
+/// CRC-framed run, then k-way merged with a loser tree that breaks key
+/// ties by run position. Either way the order is exactly the global
+/// stable sort by key, so the disk image does not depend on the budget.
 ///
-/// `spill_manager` overrides where scratch runs live (tests inject a
+/// `spill_manager` overrides where spilled runs live (tests inject a
 /// fault-wrapped manager); nullptr uses `options.spill_dir`. On any
 /// failure the tree is left empty (the root is only set after the last
 /// node page is written).

@@ -64,25 +64,17 @@ uint64_t SortKey(const Entry& entry, SortCriterion criterion,
   return 0;
 }
 
-geom::Rect HilbertFrameOf(const std::vector<Entry>& entries) {
-  geom::Rect frame;
-  for (const Entry& e : entries) frame.ExpandToInclude(e.mbr);
-  return frame;
-}
-
 namespace {
 
 /// Indices of `items` ordered by the chosen spatial criterion applied to
 /// the MBR centers. Keys are materialized once per entry — the sort
-/// itself only compares uint64s (the old comparators recomputed
-/// HilbertValue O(n log n) times), and ties keep input order, so the
-/// result is exactly "stable sort by key". This is the ordering contract
-/// the external loader's run-merge reproduces.
+/// itself only compares uint64s — and ties keep input order, so the
+/// result is exactly "stable sort by key", the same order the
+/// sort-and-chunk pipeline gives the leaves.
 std::vector<size_t> OrderBy(const std::vector<Entry>& items,
                             SortCriterion criterion) {
-  const geom::Rect frame = criterion == SortCriterion::kHilbert
-                               ? HilbertFrameOf(items)
-                               : geom::Rect{};
+  geom::Rect frame;  // the Hilbert criterion quantizes against the union
+  for (const Entry& e : items) frame.ExpandToInclude(e.mbr);
   std::vector<uint64_t> keys;
   keys.reserve(items.size());
   for (const Entry& e : items) keys.push_back(SortKey(e, criterion, frame));
@@ -145,75 +137,27 @@ std::vector<std::vector<Entry>> GroupSortChunk(
   return groups;
 }
 
-Status BulkLoadFromLevel(RTree* tree, std::vector<Entry> items, uint16_t level,
-                         uint64_t leaf_count, const GroupingFn& grouping) {
-  const size_t max = tree->options().max_entries;
-
-  while (items.size() > max) {
-    const std::vector<std::vector<Entry>> groups = grouping(items, max);
-    PICTDB_CHECK(groups.size() > 1) << "grouping must make progress";
-    std::vector<Entry> parents;
-    parents.reserve(groups.size());
-    for (const std::vector<Entry>& g : groups) {
-      PICTDB_CHECK(!g.empty() && g.size() <= max);
-      PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
-                              tree->BulkWriteNode(level, g));
-      Entry parent;
-      for (const Entry& e : g) parent.mbr.ExpandToInclude(e.mbr);
-      parent.payload = Entry::PayloadFromChild(page);
-      parents.push_back(parent);
-    }
-    items = std::move(parents);
-    ++level;
-  }
-
-  PICTDB_ASSIGN_OR_RETURN(const storage::PageId root,
-                          tree->BulkWriteNode(level, items));
-  return tree->BulkSetRoot(root, level + 1u, leaf_count);
-}
-
-Status BulkLoad(RTree* tree, std::vector<Entry> leaf_items,
-                const GroupingFn& grouping) {
-  if (tree->Size() != 0) {
-    return Status::InvalidArgument("bulk load target tree is not empty");
-  }
-  PICTDB_RETURN_IF_ERROR(ValidatePackEntries(leaf_items));
-  if (leaf_items.empty()) return Status::OK();
-  const uint64_t size = leaf_items.size();
-  const size_t max = tree->options().max_entries;
-  if (leaf_items.size() <= max) {
-    // Everything fits in the root leaf. Still order it through the
-    // grouping so a one-node tree reflects the packer's criterion —
-    // and so the external loader's merged (sorted) stream produces the
-    // identical page.
-    std::vector<std::vector<Entry>> groups = grouping(leaf_items, max);
-    PICTDB_CHECK(groups.size() == 1);
-    leaf_items = std::move(groups[0]);
-  }
-  return BulkLoadFromLevel(tree, std::move(leaf_items), 0, size, grouping);
-}
-
 Status Pack(RTree* tree, std::vector<Entry> leaf_items,
             const PackOptions& options) {
-  if (options.memory_budget_bytes > 0) {
-    VectorEntrySource source(&leaf_items);
-    return PackExternal(tree, &source, options);
-  }
   switch (options.strategy) {
     case PackStrategy::kNearestNeighbor:
       return PackNearestNeighbor(tree, std::move(leaf_items), options);
-    case PackStrategy::kSortChunk:
-      return PackSortChunk(tree, std::move(leaf_items), options);
     case PackStrategy::kStr:
       return PackStr(tree, std::move(leaf_items), options);
-    case PackStrategy::kHilbert:
-      return PackHilbert(tree, std::move(leaf_items), options);
+    case PackStrategy::kSortChunk:
+    case PackStrategy::kHilbert: {
+      VectorEntrySource source(&leaf_items);
+      return PackExternal(tree, &source, options);
+    }
   }
   return Status::InvalidArgument("unknown PackStrategy");
 }
 
 Status PackNearestNeighbor(RTree* tree, std::vector<Entry> leaf_items,
                            const PackOptions& options) {
+  if (options.memory_budget_bytes != 0) {
+    return Status::NotSupported("nearest-neighbor packing takes no budget");
+  }
   return BulkLoad(tree, std::move(leaf_items),
                   [&options](const std::vector<Entry>& items, size_t max) {
                     return GroupNearestNeighbor(items, max,
@@ -223,10 +167,9 @@ Status PackNearestNeighbor(RTree* tree, std::vector<Entry> leaf_items,
 
 Status PackSortChunk(RTree* tree, std::vector<Entry> leaf_items,
                      const PackOptions& options) {
-  return BulkLoad(tree, std::move(leaf_items),
-                  [&options](const std::vector<Entry>& items, size_t max) {
-                    return GroupSortChunk(items, max, options.criterion);
-                  });
+  PackOptions sort_chunk = options;
+  sort_chunk.strategy = PackStrategy::kSortChunk;
+  return Pack(tree, std::move(leaf_items), sort_chunk);
 }
 
 std::vector<Entry> MakeLeafEntries(const std::vector<geom::Point>& points,

@@ -33,13 +33,13 @@ enum class PackStrategy {
 struct PackOptions {
   SortCriterion criterion = SortCriterion::kAscendingX;
   PackStrategy strategy = PackStrategy::kNearestNeighbor;
-  /// When non-zero, Pack() routes sort-chunk strategies through the
-  /// external-sort loader (src/pack/external.h): the entry list is
-  /// key-sorted in buffers of at most this many bytes, spilled as
-  /// CRC-framed runs, and merged straight into packed leaves. Zero
-  /// means sort fully in memory.
+  /// Bounds the sort buffer of the sort-and-chunk pipeline
+  /// (src/pack/external.h); 0 means no bound, and input that fits one
+  /// buffer never touches disk. The budget never changes the packed
+  /// tree. Nearest-neighbor and STR reject a non-zero budget
+  /// (NotSupported): they need random access to a whole level.
   uint64_t memory_budget_bytes = 0;
-  /// Directory for spill files when the external path runs.
+  /// Directory for spill files; untouched unless a run spills.
   std::string spill_dir = ".";
 };
 
@@ -65,16 +65,11 @@ uint64_t MonotoneBits(double value);
 
 /// The 64-bit sort key all packers order by: MonotoneBits of the MBR
 /// center's leading coordinate for the ascending criteria, the Hilbert
-/// value of the center within `hilbert_frame` for kHilbert. Materalized
-/// once per entry (never recomputed inside a comparator) and identical
-/// to the key the external loader writes into spill records — the
-/// in-memory sort is the golden reference for the external path.
+/// value of the center within `hilbert_frame` for kHilbert. Materialized
+/// once per entry (never recomputed inside a comparator); the
+/// sort-and-chunk pipeline also writes it into spill records.
 uint64_t SortKey(const rtree::Entry& entry, SortCriterion criterion,
                  const geom::Rect& hilbert_frame);
-
-/// The frame the Hilbert criterion quantizes against: the union of all
-/// entry MBRs.
-geom::Rect HilbertFrameOf(const std::vector<rtree::Entry>& entries);
 
 /// Shared bottom-up construction: applies `grouping` per level until the
 /// remaining entries fit into a single root node. The target tree must be
@@ -82,18 +77,9 @@ geom::Rect HilbertFrameOf(const std::vector<rtree::Entry>& entries);
 Status BulkLoad(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
                 const GroupingFn& grouping);
 
-/// BulkLoad's upper half, exposed for loaders that write leaves
-/// themselves (the external-sort path): `items` are the entries of
-/// level `level` (already written when level > 0), `leaf_count` is the
-/// tree's final Size(). Performs no input validation.
-Status BulkLoadFromLevel(rtree::RTree* tree, std::vector<rtree::Entry> items,
-                         uint16_t level, uint64_t leaf_count,
-                         const GroupingFn& grouping);
-
-/// Single entry point dispatching on options.strategy (and, when
-/// options.memory_budget_bytes > 0 and the strategy is a sort-chunk
-/// family, through the external-sort loader). The named Pack* functions
-/// below remain as thin wrappers.
+/// Single entry point dispatching on options.strategy: kSortChunk and
+/// kHilbert run the sort-and-chunk pipeline (PackExternal over the
+/// vector), kNearestNeighbor and kStr their level-by-level groupings.
 Status Pack(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
             const PackOptions& options);
 
@@ -108,7 +94,7 @@ Status PackNearestNeighbor(rtree::RTree* tree,
 /// Sort-and-chunk packing (what the literature later called the "lowx
 /// packed R-tree"): order by the criterion and cut into consecutive runs
 /// of B. This is also the exact construction used in the proof of
-/// Theorem 3.2.
+/// Theorem 3.2. Pack() with the kSortChunk strategy forced.
 Status PackSortChunk(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
                      const PackOptions& options = {});
 

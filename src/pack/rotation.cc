@@ -1,7 +1,5 @@
 #include "pack/rotation.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "pack/pack.h"
 
@@ -18,15 +16,14 @@ StatusOr<RotationPacking> ComputeRotationPacking(
   out.angle = geom::FindDistinctXRotation(points);
   out.rotated = geom::Transform::Rotation(out.angle).Apply(points);
 
-  std::vector<geom::Point> sorted = out.rotated;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const geom::Point& a, const geom::Point& b) {
-              return a.x < b.x || (a.x == b.x && a.y < b.y);
-            });
-  for (size_t i = 0; i < sorted.size(); i += group_size) {
+  // Rotated x-coordinates of distinct points are distinct, so the
+  // sort-chunk grouping's stable tie-break never matters here.
+  const std::vector<rtree::Entry> items = MakeLeafEntries(
+      out.rotated, std::vector<storage::Rid>(out.rotated.size()));
+  for (const std::vector<rtree::Entry>& group :
+       GroupSortChunk(items, group_size, SortCriterion::kAscendingX)) {
     geom::Rect mbr;
-    const size_t end = std::min(sorted.size(), i + group_size);
-    for (size_t j = i; j < end; ++j) mbr.ExpandToInclude(sorted[j]);
+    for (const rtree::Entry& e : group) mbr.ExpandToInclude(e.mbr);
     out.leaf_mbrs.push_back(mbr);
   }
   return out;

@@ -42,7 +42,10 @@ std::vector<std::vector<Entry>> GroupStr(const std::vector<Entry>& items,
 }
 
 Status PackStr(rtree::RTree* tree, std::vector<Entry> leaf_items,
-               const PackOptions& /*options*/) {
+               const PackOptions& options) {
+  if (options.memory_budget_bytes != 0) {
+    return Status::NotSupported("STR packing takes no budget");
+  }
   return BulkLoad(tree, std::move(leaf_items),
                   [](const std::vector<Entry>& items, size_t max) {
                     return GroupStr(items, max);

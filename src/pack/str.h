@@ -12,9 +12,9 @@ namespace pictdb::pack {
 /// Sort-Tile-Recursive packing (Leutenegger et al., the best-known
 /// descendant of this paper's PACK): sort by x-center, cut into ~sqrt(P)
 /// vertical slabs, sort each slab by y-center, chunk into full nodes.
-/// Applied level by level. `options` is accepted for uniformity with the
-/// other packers; STR's slab construction fixes its own ordering, so
-/// only validation behavior is shared.
+/// Applied level by level. STR's slab construction fixes its own
+/// ordering, so `options.criterion` is ignored; a non-zero
+/// `options.memory_budget_bytes` is NotSupported.
 Status PackStr(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
                const PackOptions& options = {});
 

@@ -1,7 +1,6 @@
 #include "rel/relation.h"
 
 #include "common/logging.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
 #include "pack/str.h"
 
@@ -219,7 +218,8 @@ Status Relation::CreateSpatialIndex(const std::string& column,
       break;
     case SpatialLoader::kHilbert:
       PICTDB_RETURN_IF_ERROR(
-          pack::PackHilbert(index.get(), std::move(items)));
+          pack::Pack(index.get(), std::move(items),
+                     {.strategy = pack::PackStrategy::kHilbert}));
       break;
     case SpatialLoader::kInsert:
       for (const rtree::Entry& e : items) {

@@ -13,12 +13,17 @@ namespace {
 constexpr uint32_t kChainMagic = 0x57414C50u;  // "WALP"
 constexpr uint32_t kChainHeaderBytes = 8;
 
-// Anchor page: two generation-stamped slots at fixed offsets. Each slot
-// is  [u32 magic][u32 crc][u64 generation][u32 head_page][u32 pad]
+// Anchor page: two generation-stamped slots, back to back. Each slot is
+//   [u32 magic][u32 crc][u64 generation][u32 head_page][u32 pad]
 // with the CRC covering the 16 bytes after it (generation..pad).
 constexpr uint32_t kAnchorMagic = 0x57414C41u;  // "WALA"
 constexpr size_t kAnchorSlotBytes = 24;
-constexpr size_t kAnchorSlotOffset[2] = {0, 64};
+constexpr size_t kAnchorSlotOffset[2] = {0, kAnchorSlotBytes};
+
+// The smallest page holding both anchor slots, and a chain header plus
+// one payload byte.
+constexpr uint32_t kMinPageSize = 2 * kAnchorSlotBytes;
+static_assert(kMinPageSize > kChainHeaderBytes);
 
 // Transient-IOError retry budget for raw page I/O. The WAL bypasses the
 // buffer pool, so it owes itself the same bounded-retry envelope the
@@ -36,6 +41,13 @@ uint64_t LoadU64(const char* p) {
   uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
+}
+
+Status CheckPageSize(const storage::DiskManager* disk) {
+  if (disk->page_size() >= kMinPageSize) return Status::OK();
+  return Status::InvalidArgument(
+      "WAL needs pages of at least " + std::to_string(kMinPageSize) +
+      " bytes, got " + std::to_string(disk->page_size()));
 }
 
 bool AllZero(const char* p, size_t n) {
@@ -145,6 +157,7 @@ Status Wal::WritePageRetry(storage::PageId id, const char* data) const {
 }
 
 StatusOr<Wal> Wal::Create(storage::DiskManager* disk) {
+  if (Status st = CheckPageSize(disk); !st.ok()) return st;
   const storage::PageId anchor = disk->AllocatePage();
   const storage::PageId head = disk->AllocatePage();
 
@@ -204,6 +217,7 @@ Status Wal::ScanChain(storage::DiskManager* disk, storage::PageId head,
 
 StatusOr<Wal> Wal::Open(storage::DiskManager* disk,
                         storage::PageId anchor_page, ScanResult* scan) {
+  if (Status st = CheckPageSize(disk); !st.ok()) return st;
   std::string anchor(disk->page_size(), '\0');
   if (Status st = RetryRead(disk, anchor_page, anchor.data()); !st.ok()) {
     return st;

@@ -54,7 +54,8 @@ class Wal {
  public:
   /// Allocate an anchor page and an empty first chain on `disk`.
   /// The caller should immediately Rotate() an initial snapshot so the
-  /// chain is never without one.
+  /// chain is never without one. Pages smaller than 48 bytes (both
+  /// anchor slots) are InvalidArgument, here and in Open().
   static StatusOr<Wal> Create(storage::DiskManager* disk);
 
   /// Attach to the log anchored at `anchor_page`, scan the current

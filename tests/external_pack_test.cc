@@ -1,7 +1,9 @@
-// The external-sort bulk loader's contract: same criterion, same entry
-// stream → a disk image byte-identical to the in-memory pack, across
-// run counts 1 / 2 / many (cascaded); spill corruption surfaces as a
-// clean error with the tree left empty and usable.
+// The sort-and-chunk pipeline's contract: same criterion, same entry
+// stream → the same disk image whatever the budget, across run counts
+// 1 / 2 / many (cascaded); a single run never touches disk; spill
+// corruption surfaces as a clean error with the tree left empty and
+// usable. The unbudgeted image is itself pinned by the golden digests
+// in golden_determinism_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -171,6 +173,13 @@ TEST_P(ExternalPackEquivalence, MatchesInMemoryPackByteForByte) {
         << c.name << " budget=" << b.budget << " runs=" << stats.spill_runs;
     EXPECT_EQ(stats.entries, n);
     EXPECT_EQ(stats.spill_runs, b.expect_runs);
+    if (b.expect_runs == 1) {
+      // One run is sorted in memory and streamed straight into leaves.
+      EXPECT_EQ(stats.merge_passes, 0u);
+      EXPECT_EQ(stats.spill_pages_written, 0u);
+      EXPECT_EQ(stats.spill_pages_read, 0u);
+      continue;
+    }
     EXPECT_GE(stats.merge_passes, 1u);
     if (b.expect_runs > kSpillMergeMaxFanIn) {
       EXPECT_GT(stats.merge_passes, 1u) << "cascade must have run";
@@ -189,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The Pack() dispatcher reaches the same external path.
+// A budget passed through Pack() spills and merges to the same image.
 TEST(ExternalPackTest, PackDispatcherRoutesBudgetedSortChunk) {
   const std::vector<Entry> entries = SeededEntries(5, 500);
   PackOptions in_memory;
@@ -206,6 +215,60 @@ TEST(ExternalPackTest, PackDispatcherRoutesBudgetedSortChunk) {
         PICTDB_CHECK_OK(Pack(tree, e, budgeted));
       });
   EXPECT_TRUE(external == reference);
+}
+
+// --- the one-run case never touches disk ----------------------------------
+
+// With no budget, or a budget of exactly n entries, the input is one
+// in-memory run: nothing spills, and a spill directory that does not
+// exist is never asked for a file — neither through Pack() nor through
+// an explicit spill manager. One entry less than n makes two runs, and
+// the same manager then fails: the missing directory is a real trap,
+// not a vacuous one.
+TEST(ExternalPackTest, OneRunNeverCreatesASpillFile) {
+  const size_t n = 1000;
+  const std::vector<Entry> entries = SeededEntries(17, n);
+  const std::string missing = SpillDir() + "/pictdb-no-such-dir/nested";
+  const DiskImage reference =
+      BuildImage(entries, [&](RTree* tree, const std::vector<Entry>& e) {
+        PICTDB_CHECK_OK(Pack(tree, e,
+                             {.strategy = PackStrategy::kHilbert,
+                              .spill_dir = missing}));
+      });
+
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{48} * n}) {
+    storage::SpillFileManager manager(missing);
+    ExternalPackStats stats;
+    const DiskImage image =
+        BuildImage(entries, [&](RTree* tree, const std::vector<Entry>& e) {
+          VectorEntrySource source(&e);
+          PackOptions options{.strategy = PackStrategy::kHilbert,
+                              .memory_budget_bytes = budget,
+                              .spill_dir = missing};
+          PICTDB_CHECK_OK(
+              PackExternal(tree, &source, options, &stats, &manager));
+        });
+    EXPECT_TRUE(image == reference) << "budget=" << budget;
+    EXPECT_EQ(stats.entries, n);
+    EXPECT_EQ(stats.spill_runs, 1u) << "budget=" << budget;
+    EXPECT_EQ(stats.spill_pages_written, 0u) << "budget=" << budget;
+    EXPECT_EQ(stats.spill_pages_read, 0u) << "budget=" << budget;
+    EXPECT_EQ(stats.merge_passes, 0u) << "budget=" << budget;
+    EXPECT_EQ(stats.run_capacity_entries, budget / 48);
+  }
+
+  storage::InMemoryDiskManager disk(512);
+  storage::BufferPool pool(&disk, 8192);
+  auto tree = RTree::Create(&pool);
+  ASSERT_TRUE(tree.ok());
+  storage::SpillFileManager manager(missing);
+  VectorEntrySource source(&entries);
+  const Status two_runs = PackExternal(
+      &*tree, &source,
+      ExternalOptions(PackStrategy::kHilbert, uint64_t{48} * (n - 1)), nullptr,
+      &manager);
+  EXPECT_FALSE(two_runs.ok());
+  EXPECT_EQ(tree->Size(), 0u);
 }
 
 // --- edges ----------------------------------------------------------------
@@ -264,6 +327,10 @@ TEST(ExternalPackTest, RejectsUnsupportedStrategies) {
     const Status status =
         PackExternal(&*tree, &source, ExternalOptions(s, 1 << 16));
     EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
+    // Through Pack(), a budget is what these groupings cannot honour.
+    const Status budgeted = Pack(&*tree, entries, ExternalOptions(s, 1 << 16));
+    EXPECT_EQ(budgeted.code(), StatusCode::kNotSupported)
+        << budgeted.ToString();
   }
   EXPECT_EQ(tree->Size(), 0u);
 }

@@ -95,6 +95,86 @@ TEST(GoldenDeterminismTest, PackSortChunkIsByteIdentical) {
   EXPECT_TRUE(BuildImage(73, 800, build) == BuildImage(73, 800, build));
 }
 
+// --- Golden disk images ----------------------------------------------------
+//
+// Building twice with one binary cannot catch a refactor that changes
+// bytes, so every packer's image is pinned to a fixed 64-bit digest
+// (FNV-1a over every page in page-id order, trailers included) on
+// 512-byte pages. The digests hold on every build type and kernel
+// family; a deliberate format change re-baselines them with a version
+// bump.
+
+uint64_t Fnv1a(const DiskImage& image) {
+  uint64_t h = 14695981039346656037ull;
+  for (const std::vector<char>& page : image.pages) {
+    for (const char c : page) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* name;
+  PackOptions options;
+  uint64_t digest_b;     // n = B (one full root leaf)
+  uint64_t digest_b1;    // n = B + 1 (two leaves under a root)
+  uint64_t digest_3000;  // n = 3000 (four levels at B = 12)
+};
+
+TEST(GoldenDeterminismTest, PackedImagesMatchGoldenDigests) {
+  const GoldenCase kCases[] = {
+      {"nn",
+       {.strategy = PackStrategy::kNearestNeighbor},
+       0x63f8e3cf4b9bcd18ull, 0x3b1236ed57c59cdcull,
+       0x2c887203b1bf261bull},
+      {"lowx",
+       {.strategy = PackStrategy::kSortChunk},
+       0x23c2a31e789c1f5eull, 0x53918b9a92c029b6ull,
+       0x35bb4d454b50ca61ull},
+      {"lowy",
+       {.criterion = SortCriterion::kAscendingY,
+        .strategy = PackStrategy::kSortChunk},
+       0x8bac52feb9a89b48ull, 0x19e10756ab5d54d3ull,
+       0xbd89ebed65fa2d45ull},
+      {"sortchunk_hilbert",
+       {.criterion = SortCriterion::kHilbert,
+        .strategy = PackStrategy::kSortChunk},
+       0x2a7897ec63205268ull, 0xab75d5c11ea7d417ull,
+       0x453a482bde39498bull},
+      {"hilbert",
+       {.strategy = PackStrategy::kHilbert},
+       0x2a7897ec63205268ull, 0xab75d5c11ea7d417ull,
+       0x453a482bde39498bull},
+      {"str",
+       {.strategy = PackStrategy::kStr},
+       0x8bac52feb9a89b48ull, 0x19e10756ab5d54d3ull,
+       0x90545cd861140d7bull},
+  };
+  storage::InMemoryDiskManager probe(512);
+  storage::BufferPool probe_pool(&probe, 64);
+  auto probe_tree = RTree::Create(&probe_pool);
+  ASSERT_TRUE(probe_tree.ok());
+  const size_t b = probe_tree->options().max_entries;
+
+  for (const GoldenCase& c : kCases) {
+    const struct {
+      size_t n;
+      uint64_t digest;
+    } kSizes[] = {
+        {b, c.digest_b}, {b + 1, c.digest_b1}, {3000, c.digest_3000}};
+    for (const auto& size : kSizes) {
+      const DiskImage image = BuildImage(
+          95, size.n, [&c](RTree* tree, const std::vector<Entry>& e) {
+            PICTDB_CHECK_OK(Pack(tree, e, c.options));
+          });
+      EXPECT_EQ(Fnv1a(image), size.digest)
+          << c.name << " n=" << size.n << ": 0x" << std::hex << Fnv1a(image);
+    }
+  }
+}
+
 TEST(GoldenDeterminismTest, InsertThenRepackIsByteIdentical) {
   auto build = [](RTree* tree, const std::vector<Entry>& entries) {
     for (const Entry& e : entries) {

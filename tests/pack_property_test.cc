@@ -10,7 +10,6 @@
 #include <tuple>
 
 #include "common/random.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
 #include "pack/str.h"
 #include "rtree/metrics.h"
@@ -42,7 +41,8 @@ Status Build(BuilderKind kind, RTree* tree, std::vector<Entry> items) {
     case BuilderKind::kStr:
       return PackStr(tree, std::move(items));
     case BuilderKind::kHilbert:
-      return PackHilbert(tree, std::move(items));
+      return Pack(tree, std::move(items),
+                  {.strategy = PackStrategy::kHilbert});
     case BuilderKind::kNNHilbertOrder: {
       PackOptions options;
       options.criterion = SortCriterion::kHilbert;

@@ -189,7 +189,7 @@ Status BuildStr(RTree* t, std::vector<Entry> items) {
   return PackStr(t, std::move(items));
 }
 Status BuildHilbert(RTree* t, std::vector<Entry> items) {
-  return PackHilbert(t, std::move(items));
+  return Pack(t, std::move(items), {.strategy = PackStrategy::kHilbert});
 }
 
 class PackBuilders : public ::testing::TestWithParam<int> {
@@ -426,7 +426,7 @@ const BuilderFn kAllBuilders[] = {
       return PackStr(t, std::move(items));
     },
     [](RTree* t, std::vector<Entry> items) {
-      return PackHilbert(t, std::move(items));
+      return Pack(t, std::move(items), {.strategy = PackStrategy::kHilbert});
     },
 };
 
@@ -534,7 +534,7 @@ TEST(PackValidationTest, MonotoneBitsIsOrderPreserving) {
 }
 
 // Keys must be materialized once per entry, not recomputed inside the
-// sort comparator (the old PackHilbert paid O(n log n) curve walks).
+// sort comparator (which would cost O(n log n) curve walks).
 TEST(PackKeyMaterializationTest, HilbertValueComputedAtMostTwicePerEntry) {
   Env env;
   auto tree = RTree::Create(&env.pool);
@@ -542,7 +542,9 @@ TEST(PackKeyMaterializationTest, HilbertValueComputedAtMostTwicePerEntry) {
   const size_t n = 2000;
   std::vector<Entry> items = ValidItems(n);
   const uint64_t before = HilbertValueComputeCountForTesting();
-  ASSERT_TRUE(PackHilbert(&*tree, std::move(items)).ok());
+  ASSERT_TRUE(
+      Pack(&*tree, std::move(items), {.strategy = PackStrategy::kHilbert})
+          .ok());
   const uint64_t computes = HilbertValueComputeCountForTesting() - before;
   // One key per leaf entry plus one per upper-level entry (a geometric
   // tail of n/B); 2n is a generous ceiling, n log n is far above it.
@@ -571,7 +573,7 @@ TEST(PackDispatcherTest, StrategySelectsPacker) {
   }
 }
 
-TEST(PackDispatcherTest, HilbertStrategyMatchesPackHilbert) {
+TEST(PackDispatcherTest, HilbertStrategyMatchesSortChunkHilbertCriterion) {
   Env a_env, b_env;
   auto a = RTree::Create(&a_env.pool);
   auto b = RTree::Create(&b_env.pool);
@@ -579,7 +581,9 @@ TEST(PackDispatcherTest, HilbertStrategyMatchesPackHilbert) {
   PackOptions options;
   options.strategy = PackStrategy::kHilbert;
   ASSERT_TRUE(Pack(&*a, ValidItems(300), options).ok());
-  ASSERT_TRUE(PackHilbert(&*b, ValidItems(300)).ok());
+  ASSERT_TRUE(PackSortChunk(&*b, ValidItems(300),
+                            {.criterion = SortCriterion::kHilbert})
+                  .ok());
   EXPECT_EQ(a->Size(), b->Size());
   EXPECT_EQ(a->Height(), b->Height());
   auto na = a->CountNodes();

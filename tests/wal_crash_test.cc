@@ -171,12 +171,12 @@ TEST(WalCrashTest, TornLastRecordRecoversPrefix) {
   env.pool.reset();
   // Everything was synced; now tear the final record by flipping a byte
   // inside its frame, on the REAL disk (walking the chain from the
-  // anchor: slots at 0/64, head at slot+16, next pointer at page+4).
+  // anchor: slots at 0/24, head at slot+16, next pointer at page+4).
   std::vector<char> page(env.base.page_size());
   ASSERT_TRUE(env.base.ReadPage(env.anchor, page.data()).ok());
   PageId head = storage::kInvalidPageId;
   uint64_t best_gen = 0;
-  for (size_t off : {size_t{0}, size_t{64}}) {
+  for (size_t off : {size_t{0}, size_t{24}}) {
     uint32_t magic;
     std::memcpy(&magic, page.data() + off, 4);
     if (magic != 0x57414C41u) continue;

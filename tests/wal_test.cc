@@ -202,6 +202,61 @@ TEST(WalTest, RecordsSpanSmallPages) {
   for (uint64_t i = 0; i < 40; ++i) EXPECT_EQ(scan.records[i].lsn, i + 1);
 }
 
+/// Pages of any size (the library's disk managers refuse pages under
+/// 64 bytes), single-threaded: enough to probe the WAL's own minimum.
+class AnySizeDisk final : public storage::DiskManager {
+ public:
+  explicit AnySizeDisk(uint32_t page_size) : page_size_(page_size) {}
+  uint32_t page_size() const override { return page_size_; }
+  PageId page_count() const override {
+    return static_cast<PageId>(pages_.size());
+  }
+  Status ReadPage(PageId id, char* out) override {
+    std::memcpy(out, pages_.at(id).data(), page_size_);
+    return Status::OK();
+  }
+  Status WritePage(PageId id, const char* data) override {
+    pages_.at(id).assign(data, page_size_);
+    return Status::OK();
+  }
+  PageId AllocatePage() override {
+    pages_.emplace_back(page_size_, '\0');
+    return page_count() - 1;
+  }
+  void DeallocatePage(PageId /*id*/) override {}
+
+ private:
+  uint32_t page_size_;
+  std::vector<std::string> pages_;
+};
+
+TEST(WalTest, RejectsPagesTooSmallForBothAnchorSlots) {
+  // Two 24-byte anchor slots need 48 bytes; the chain header plus one
+  // payload byte needs only 9.
+  AnySizeDisk tiny(47);
+  auto created = Wal::Create(&tiny);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+      << created.status().ToString();
+  EXPECT_EQ(tiny.page_count(), 0u) << "rejected before allocating";
+  ScanResult scan;
+  EXPECT_EQ(Wal::Open(&tiny, 0, &scan).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The smallest legal page round-trips records spanning many pages.
+  AnySizeDisk smallest(48);
+  auto wal = Wal::Create(&smallest);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  for (uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(wal->Append(MakeInsert(i)).ok());
+  }
+  ASSERT_TRUE(wal->Sync().ok());
+  auto reopened = Wal::Open(&smallest, wal->anchor_page(), &scan);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ(scan.records.size(), 5u);
+  EXPECT_EQ(scan.records.back().lsn, 5u);
+}
+
 TEST(WalTest, ReopenThenAppendExtendsCommittedPrefix) {
   InMemoryDiskManager disk(512);
   auto created = Wal::Create(&disk);
