@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <thread>
 
@@ -53,8 +54,11 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t shards,
       capacity_(capacity),
       options_(options),
       shards_(std::max<size_t>(1, std::min(shards, capacity))),
+      hint_mask_(std::bit_ceil(2 * capacity) - 1),
       jitter_rng_(options.retry_jitter_seed) {
-  PICTDB_CHECK(capacity_ >= 1);
+  static_assert(PackState(kInvalidPageId, kUnpinnable) == ~uint64_t{0},
+                "Frame::state starts free");
+  PICTDB_CHECK(capacity_ >= 1 && capacity_ < kNoFrame);
   PICTDB_CHECK(!options_.checksum_pages ||
                disk_->page_size() > 2 * kPageTrailerSize)
       << "page size too small for a checksum trailer";
@@ -62,11 +66,14 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t shards,
   for (size_t i = 0; i < capacity_; ++i) {
     frames_[i].data = std::make_unique<char[]>(disk_->page_size());
   }
+  hints_ = std::make_unique<std::atomic<uint32_t>[]>(hint_mask_ + 1);
+  for (size_t i = 0; i <= hint_mask_; ++i) {
+    hints_[i].store(kNoFrame, std::memory_order_relaxed);
+  }
   // Each shard's free list hands out its frames in increasing index
-  // order (so with one shard the allocation order matches the
-  // historical single-threaded pool exactly). The locks are not yet
-  // contended, but Shard's guarded members are owned by Shard, not by
-  // the pool, so the constructor still acquires them.
+  // order, so with one shard the allocation order is deterministic. The
+  // locks are not yet contended, but Shard's guarded members are owned
+  // by Shard, not by the pool, so the constructor still acquires them.
   for (size_t i = 0; i < capacity_; ++i) {
     const size_t idx = capacity_ - 1 - i;
     Shard& shard = shards_[idx % shards_.size()];
@@ -81,7 +88,7 @@ BufferPool::~BufferPool() {
   // page reference.
   const size_t leaked = pinned_frames();
   if (leaked > 0) {
-    stats_.pin_leaks.store(leaked, std::memory_order_relaxed);
+    pin_leaks_.store(leaked, std::memory_order_relaxed);
     if (options_.pin_leak_gauge != nullptr) {
       options_.pin_leak_gauge->fetch_add(leaked, std::memory_order_relaxed);
     }
@@ -103,30 +110,51 @@ BufferPool::~BufferPool() {
 
 size_t BufferPool::pinned_frames() const {
   size_t n = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    MutexLock lock(&shards_[s].mu);
-    for (size_t i = s; i < capacity_; i += shards_.size()) {
-      const Frame& f = frames_[i];
-      if (f.page_id != kInvalidPageId &&
-          f.pin_count.load(std::memory_order_relaxed) > 0) {
-        ++n;
-      }
-    }
+  for (size_t i = 0; i < capacity_; ++i) {
+    const uint32_t pins =
+        PinsOf(frames_[i].state.load(std::memory_order_relaxed));
+    if (pins != kUnpinnable && pins > 0) ++n;
   }
   return n;
 }
 
-void BufferPool::Unpin(size_t frame_idx) {
-  Frame& frame = frames_[frame_idx];
-  Shard& shard = ShardForFrame(frame_idx);
-  MutexLock lock(&shard.mu);
-  const int prev = frame.pin_count.fetch_sub(1, std::memory_order_relaxed);
-  PICTDB_CHECK(prev > 0) << "unpin of unpinned page " << frame.page_id;
-  if (prev == 1) {
-    shard.lru.push_back(frame_idx);
-    frame.lru_pos = std::prev(shard.lru.end());
-    frame.in_lru = true;
+BufferPoolStatsSnapshot BufferPool::stats() const {
+  BufferPoolStatsSnapshot s;
+  for (size_t i = 0; i < capacity_; ++i) {
+    s.fetches += frames_[i].hits.load(std::memory_order_relaxed);
   }
+  for (const Shard& shard : shards_) {
+    s.misses += shard.misses.load(std::memory_order_relaxed);
+    s.evictions += shard.evictions.load(std::memory_order_relaxed);
+  }
+  s.fetches += s.misses;
+  s.flushes = flushes_.load(std::memory_order_relaxed);
+  s.read_retries = read_retries_.load(std::memory_order_relaxed);
+  s.write_retries = write_retries_.load(std::memory_order_relaxed);
+  s.checksum_failures = checksum_failures_.load(std::memory_order_relaxed);
+  s.pin_leaks = pin_leaks_.load(std::memory_order_relaxed);
+  return s;
+}
+
+void BufferPool::ResetStats() {
+  for (size_t i = 0; i < capacity_; ++i) {
+    frames_[i].hits.store(0, std::memory_order_relaxed);
+  }
+  for (Shard& shard : shards_) {
+    shard.misses.store(0, std::memory_order_relaxed);
+    shard.evictions.store(0, std::memory_order_relaxed);
+  }
+  for (auto* counter : {&flushes_, &read_retries_, &write_retries_,
+                        &checksum_failures_, &pin_leaks_}) {
+    counter->store(0, std::memory_order_relaxed);
+  }
+}
+
+void BufferPool::Unpin(size_t frame_idx) {
+  const uint64_t prev =
+      frames_[frame_idx].state.fetch_sub(1, std::memory_order_release);
+  PICTDB_CHECK(PinsOf(prev) > 0 && PinsOf(prev) != kUnpinnable)
+      << "unpin of unpinned page " << PageOf(prev);
 }
 
 void BufferPool::Backoff(int attempt) {
@@ -149,7 +177,7 @@ Status BufferPool::ReadPageWithRetry(PageId id, char* out) {
   Status last = Status::OK();
   for (int attempt = 0; attempt <= options_.max_read_retries; ++attempt) {
     if (attempt > 0) {
-      stats_.read_retries.fetch_add(1, std::memory_order_relaxed);
+      read_retries_.fetch_add(1, std::memory_order_relaxed);
       Backoff(attempt - 1);
     }
     last = disk_->ReadPage(id, out);
@@ -160,7 +188,7 @@ Status BufferPool::ReadPageWithRetry(PageId id, char* out) {
       // A checksum failure may be a transient in-flight bit flip:
       // re-reading can clear it. Persistent corruption exhausts the
       // retry budget and propagates as DataLoss.
-      stats_.checksum_failures.fetch_add(1, std::memory_order_relaxed);
+      checksum_failures_.fetch_add(1, std::memory_order_relaxed);
     } else if (!last.IsIOError() && !last.IsDataLoss()) {
       return last;  // not transient by contract (e.g. OutOfRange)
     }
@@ -175,7 +203,7 @@ Status BufferPool::WritePageWithRetry(PageId id, char* data) {
   Status last = Status::OK();
   for (int attempt = 0; attempt <= options_.max_write_retries; ++attempt) {
     if (attempt > 0) {
-      stats_.write_retries.fetch_add(1, std::memory_order_relaxed);
+      write_retries_.fetch_add(1, std::memory_order_relaxed);
       Backoff(attempt - 1);
     }
     last = disk_->WritePage(id, data);
@@ -190,87 +218,133 @@ StatusOr<size_t> BufferPool::GetVictimFrame(Shard& shard) {
     shard.free_frames.pop_back();
     return idx;
   }
-  if (shard.lru.empty()) {
-    return Status::ResourceExhausted(
-        "buffer pool exhausted: all frames of the shard pinned");
+  // The shard owns frames first, first + stride, ...; the hand walks
+  // their positions. Two rounds honour reference bits (the first clears
+  // them), so an unpinned frame is always found by the end of the
+  // second unless hits keep re-referencing every one; the third round
+  // then takes any unpinned frame.
+  const size_t stride = shards_.size();
+  const size_t first = static_cast<size_t>(&shard - shards_.data());
+  const size_t owned = (capacity_ - first + stride - 1) / stride;
+  for (size_t step = 0; step < 3 * owned; ++step) {
+    const size_t idx = first + shard.hand * stride;
+    shard.hand = (shard.hand + 1) % owned;
+    Frame& frame = frames_[idx];
+    uint64_t state = frame.state.load(std::memory_order_relaxed);
+    if (PinsOf(state) != 0) continue;  // pinned (or unpinnable)
+    if (step < 2 * owned && frame.ref.load(std::memory_order_relaxed)) {
+      frame.ref.store(false, std::memory_order_relaxed);  // second chance
+      continue;
+    }
+    // A lock-free hit may pin the frame between the load and here.
+    if (!frame.state.compare_exchange_strong(
+            state, PackState(PageOf(state), kUnpinnable),
+            std::memory_order_acquire, std::memory_order_relaxed)) {
+      continue;
+    }
+    const PageId victim = PageOf(state);
+    if (frame.dirty.load(std::memory_order_relaxed)) {
+      // Written back under the shard lock: the victim must not be
+      // readable from disk in its stale form once it leaves the page
+      // table.
+      const Status written = WritePageWithRetry(victim, frame.data.get());
+      if (!written.ok()) {
+        frame.state.store(state, std::memory_order_release);
+        return written;
+      }
+      flushes_.fetch_add(1, std::memory_order_relaxed);
+      frame.dirty.store(false, std::memory_order_relaxed);
+    }
+    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+    shard.page_table.erase(victim);
+    frame.state.store(PackState(kInvalidPageId, kUnpinnable),
+                      std::memory_order_relaxed);
+    return idx;
   }
-  const size_t idx = shard.lru.front();
-  shard.lru.pop_front();
-  Frame& frame = frames_[idx];
-  frame.in_lru = false;
-  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-  if (frame.dirty.load(std::memory_order_relaxed)) {
-    // Written back under the shard lock: the victim must not be readable
-    // from disk in its stale form once it leaves the page table.
-    PICTDB_RETURN_IF_ERROR(
-        WritePageWithRetry(frame.page_id, frame.data.get()));
-    stats_.flushes.fetch_add(1, std::memory_order_relaxed);
-    frame.dirty.store(false, std::memory_order_relaxed);
-  }
-  shard.page_table.erase(frame.page_id);
-  frame.page_id = kInvalidPageId;
-  return idx;
+  return Status::ResourceExhausted(
+      "buffer pool exhausted: all frames of the shard pinned");
 }
 
-PageGuard BufferPool::PinFrame(Shard& shard, size_t frame_idx) {
+void BufferPool::Install(Shard& shard, size_t frame_idx, PageId id) {
   Frame& frame = frames_[frame_idx];
-  if (frame.pin_count.load(std::memory_order_relaxed) == 0 &&
-      frame.in_lru) {
-    shard.lru.erase(frame.lru_pos);
-    frame.in_lru = false;
-  }
-  frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-  return PageGuard(this, frame.page_id, frame.data.get(), &frame.dirty,
-                   frame_idx);
+  frame.ref.store(false, std::memory_order_relaxed);
+  shard.page_table[id] = frame_idx;
+  // Release: a lock-free pinner that sees the new id also sees
+  // `loading` and (for NewPage) the zeroed bytes.
+  frame.state.store(PackState(id, 1), std::memory_order_release);
+  HintFor(id).store(static_cast<uint32_t>(frame_idx),
+                    std::memory_order_relaxed);
 }
 
-StatusOr<size_t> BufferPool::ClaimFrameLocked(Shard& shard, PageId id) {
-  PICTDB_ASSIGN_OR_RETURN(const size_t idx, GetVictimFrame(shard));
+PageGuard BufferPool::TryPinResident(PageId id) {
+  const uint32_t idx = HintFor(id).load(std::memory_order_relaxed);
+  if (idx >= capacity_) return PageGuard();
   Frame& frame = frames_[idx];
-  frame.page_id = id;
-  frame.pin_count.store(1, std::memory_order_relaxed);
-  shard.page_table[id] = idx;
-  return idx;
+  uint64_t state = frame.state.load(std::memory_order_relaxed);
+  do {
+    if (PageOf(state) != id || PinsOf(state) == kUnpinnable) {
+      return PageGuard();
+    }
+  } while (!frame.state.compare_exchange_weak(state, state + 1,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed));
+  if (frame.loading.load(std::memory_order_acquire)) {
+    Unpin(idx);  // bytes not read yet: wait on the locked path
+    return PageGuard();
+  }
+  if (!frame.ref.load(std::memory_order_relaxed)) {
+    frame.ref.store(true, std::memory_order_relaxed);
+  }
+  frame.hits.fetch_add(1, std::memory_order_relaxed);
+  return PageGuard(this, id, frame.data.get(), &frame.dirty, idx);
 }
 
 StatusOr<PageGuard> BufferPool::FetchPageImpl(PageId id,
                                               bool overwrite_on_error) {
+  PageGuard hit = TryPinResident(id);
+  if (hit.valid()) return hit;
+
   Shard& shard = ShardForPage(id);
   // Explicit Lock/Unlock (not an RAII guard): the miss path hands the
   // lock back around its disk read, and the analysis checks that every
   // return below balances the acquire.
   shard.mu.Lock();
-  stats_.fetches.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     auto it = shard.page_table.find(id);
     if (it == shard.page_table.end()) break;
-    Frame& frame = frames_[it->second];
-    if (frame.loading) {
+    const size_t idx = it->second;
+    Frame& frame = frames_[idx];
+    if (frame.loading.load(std::memory_order_relaxed)) {
       // Another thread is reading this page in; wait and re-probe (the
       // load may fail, in which case the entry disappears).
       shard.load_cv.Wait(&shard.mu);
       continue;
     }
-    PageGuard guard = PinFrame(shard, it->second);
+    // Resident and loaded; only this lock's holders claim frames, so
+    // the count is a real pin count.
+    frame.state.fetch_add(1, std::memory_order_acquire);
+    frame.ref.store(true, std::memory_order_relaxed);
+    frame.hits.fetch_add(1, std::memory_order_relaxed);
+    HintFor(id).store(static_cast<uint32_t>(idx), std::memory_order_relaxed);
     shard.mu.Unlock();
-    return guard;
+    return PageGuard(this, id, frame.data.get(), &frame.dirty, idx);
   }
 
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  StatusOr<size_t> claimed = ClaimFrameLocked(shard, id);
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  StatusOr<size_t> claimed = GetVictimFrame(shard);
   if (!claimed.ok()) {
     shard.mu.Unlock();
     return std::move(claimed).status();
   }
   const size_t idx = claimed.value();
   Frame& frame = frames_[idx];
-  frame.loading = true;
+  frame.loading.store(true, std::memory_order_relaxed);
+  Install(shard, idx, id);
   shard.mu.Unlock();
   // The frame is pinned and flagged, so it cannot be evicted or handed
   // out while the read runs without the lock.
   const Status read = ReadPageWithRetry(id, frame.data.get());
   shard.mu.Lock();
-  frame.loading = false;
   if (!read.ok()) {
     if (overwrite_on_error &&
         (read.IsDataLoss() || read.IsCorruption() || read.IsIOError())) {
@@ -278,19 +352,28 @@ StatusOr<PageGuard> BufferPool::FetchPageImpl(PageId id,
       // dirty frame instead of surfacing the torn/rotten on-disk image.
       std::memset(frame.data.get(), 0, disk_->page_size());
       frame.dirty.store(true, std::memory_order_relaxed);
+      frame.loading.store(false, std::memory_order_release);
       shard.load_cv.NotifyAll();
       shard.mu.Unlock();
       return PageGuard(this, id, frame.data.get(), &frame.dirty, idx);
     }
+    // Back to the free list. A lock-free pinner may hold a transient
+    // pin; it drops it as soon as it sees `loading`.
+    uint64_t ours = PackState(id, 1);
+    while (!frame.state.compare_exchange_weak(
+        ours, PackState(kInvalidPageId, kUnpinnable),
+        std::memory_order_relaxed)) {
+      ours = PackState(id, 1);
+      std::this_thread::yield();
+    }
+    frame.loading.store(false, std::memory_order_relaxed);
     shard.page_table.erase(id);
-    frame.page_id = kInvalidPageId;
-    frame.pin_count.store(0, std::memory_order_relaxed);
     shard.free_frames.push_back(idx);
     shard.load_cv.NotifyAll();
     shard.mu.Unlock();
     return read;
   }
-  frame.dirty.store(false, std::memory_order_relaxed);
+  frame.loading.store(false, std::memory_order_release);
   shard.load_cv.NotifyAll();
   shard.mu.Unlock();
   return PageGuard(this, id, frame.data.get(), &frame.dirty, idx);
@@ -308,11 +391,12 @@ StatusOr<PageGuard> BufferPool::NewPage() {
   const PageId id = disk_->AllocatePage();
   Shard& shard = ShardForPage(id);
   MutexLock lock(&shard.mu);
-  PICTDB_ASSIGN_OR_RETURN(const size_t idx, ClaimFrameLocked(shard, id));
+  PICTDB_ASSIGN_OR_RETURN(const size_t idx, GetVictimFrame(shard));
   Frame& frame = frames_[idx];
   std::memset(frame.data.get(), 0, disk_->page_size());
   // Must reach disk even if never written again.
   frame.dirty.store(true, std::memory_order_relaxed);
+  Install(shard, idx, id);
   return PageGuard(this, id, frame.data.get(), &frame.dirty, idx);
 }
 
@@ -324,15 +408,13 @@ Status BufferPool::FreePage(PageId id) {
     if (it != shard.page_table.end()) {
       const size_t idx = it->second;
       Frame& frame = frames_[idx];
-      if (frame.pin_count.load(std::memory_order_relaxed) > 0) {
+      uint64_t unpinned = PackState(id, 0);
+      if (!frame.state.compare_exchange_strong(
+              unpinned, PackState(kInvalidPageId, kUnpinnable),
+              std::memory_order_acquire, std::memory_order_relaxed)) {
         return Status::InvalidArgument("freeing pinned page " +
                                        std::to_string(id));
       }
-      if (frame.in_lru) {
-        shard.lru.erase(frame.lru_pos);
-        frame.in_lru = false;
-      }
-      frame.page_id = kInvalidPageId;
       frame.dirty.store(false, std::memory_order_relaxed);
       shard.page_table.erase(it);
       shard.free_frames.push_back(idx);
@@ -347,12 +429,13 @@ Status BufferPool::FlushAll() {
     MutexLock lock(&shards_[s].mu);
     for (size_t i = s; i < capacity_; i += shards_.size()) {
       Frame& frame = frames_[i];
-      if (frame.page_id != kInvalidPageId &&
+      const PageId page =
+          PageOf(frame.state.load(std::memory_order_relaxed));
+      if (page != kInvalidPageId &&
           frame.dirty.load(std::memory_order_relaxed)) {
-        PICTDB_RETURN_IF_ERROR(
-            WritePageWithRetry(frame.page_id, frame.data.get()));
+        PICTDB_RETURN_IF_ERROR(WritePageWithRetry(page, frame.data.get()));
         frame.dirty.store(false, std::memory_order_relaxed);
-        stats_.flushes.fetch_add(1, std::memory_order_relaxed);
+        flushes_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -361,21 +444,19 @@ Status BufferPool::FlushAll() {
 
 void BufferPool::PrefetchResident(std::span<const PageId> ids) {
   for (const PageId id : ids) {
-    Shard& shard = ShardForPage(id);
-    const char* data = nullptr;
-    {
-      MutexLock lock(&shard.mu);
-      auto it = shard.page_table.find(id);
-      if (it == shard.page_table.end()) continue;
-      Frame& frame = frames_[it->second];
-      if (frame.loading) continue;  // bytes not valid yet
-      data = frame.data.get();
+    const uint32_t idx = HintFor(id).load(std::memory_order_relaxed);
+    if (idx >= capacity_) continue;
+    const Frame& frame = frames_[idx];
+    if (PageOf(frame.state.load(std::memory_order_relaxed)) != id ||
+        frame.loading.load(std::memory_order_relaxed)) {
+      continue;  // not resident where the hint says, or bytes not valid
     }
-    // Outside the shard lock: the frame may be evicted concurrently,
-    // but its allocation is stable for the pool's lifetime, so at
-    // worst the hint warms the wrong page's bytes. Cover the SoA node
-    // header and the front of the rect columns; the sequential SIMD
-    // scan's hardware prefetcher takes over from there.
+    // Unpinned: the frame may be evicted concurrently, but its
+    // allocation is stable for the pool's lifetime, so at worst the
+    // hint warms the wrong page's bytes. Cover the SoA node header and
+    // the front of the rect columns; the sequential SIMD scan's
+    // hardware prefetcher takes over from there.
+    const char* data = frame.data.get();
     for (size_t off = 0; off < 256; off += 64) {
       __builtin_prefetch(data + off, /*rw=*/0, /*locality=*/2);
     }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -20,58 +19,20 @@
 namespace pictdb::storage {
 
 /// Plain-value image of the pool counters, safe to copy and compare.
+/// `fetches` counts every FetchPage call: a hit or a miss.
 struct BufferPoolStatsSnapshot {
   uint64_t fetches = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t flushes = 0;
-  uint64_t read_retries = 0;
-  uint64_t write_retries = 0;
-  uint64_t checksum_failures = 0;
-  uint64_t pin_leaks = 0;
-};
-
-/// Counters for cache behaviour; the difference between `fetches` and
-/// `misses` shows how well the LRU pool absorbs a workload's page touches.
-/// Counters are atomic so concurrent readers never race with fetches;
-/// use Snapshot() to read a consistent plain-struct copy.
-struct BufferPoolStats {
-  std::atomic<uint64_t> fetches{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> flushes{0};
   /// Transient I/O errors and checksum failures absorbed by re-reading.
-  std::atomic<uint64_t> read_retries{0};
+  uint64_t read_retries = 0;
   /// Transient I/O errors absorbed by re-writing (flush / eviction).
-  std::atomic<uint64_t> write_retries{0};
+  uint64_t write_retries = 0;
   /// Miss reads whose page trailer failed verification (pre-retry).
-  std::atomic<uint64_t> checksum_failures{0};
+  uint64_t checksum_failures = 0;
   /// Pins still held when the pool was destroyed (gauge, set once).
-  std::atomic<uint64_t> pin_leaks{0};
-
-  BufferPoolStatsSnapshot Snapshot() const {
-    BufferPoolStatsSnapshot s;
-    s.fetches = fetches.load(std::memory_order_relaxed);
-    s.misses = misses.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.flushes = flushes.load(std::memory_order_relaxed);
-    s.read_retries = read_retries.load(std::memory_order_relaxed);
-    s.write_retries = write_retries.load(std::memory_order_relaxed);
-    s.checksum_failures = checksum_failures.load(std::memory_order_relaxed);
-    s.pin_leaks = pin_leaks.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  void Reset() {
-    fetches.store(0, std::memory_order_relaxed);
-    misses.store(0, std::memory_order_relaxed);
-    evictions.store(0, std::memory_order_relaxed);
-    flushes.store(0, std::memory_order_relaxed);
-    read_retries.store(0, std::memory_order_relaxed);
-    write_retries.store(0, std::memory_order_relaxed);
-    checksum_failures.store(0, std::memory_order_relaxed);
-    pin_leaks.store(0, std::memory_order_relaxed);
-  }
+  uint64_t pin_leaks = 0;
 };
 
 /// Fault-tolerance knobs. The defaults give every pool page checksums
@@ -147,16 +108,23 @@ class PageGuard {
   size_t frame_idx_ = 0;
 };
 
-/// Fixed-capacity page cache over a DiskManager with LRU replacement.
+/// Fixed-capacity page cache over a DiskManager with CLOCK (second
+/// chance) replacement.
 ///
 /// Thread-safe: the frame table is split into `shards` independent
 /// mini-pools (page id -> shard by modulo), each with its own mutex,
-/// page table, LRU list and free list. Pin counts are atomic; a miss
-/// performs its disk read outside the shard lock (the frame is pinned
-/// and flagged as loading, so concurrent fetchers of the same page wait
-/// on the shard's condition variable while other pages proceed).
-/// With shards == 1 (the default) eviction order is byte-identical to
-/// the historical single-threaded pool.
+/// page table, CLOCK hand and free list. A hit on a resident page and
+/// every unpin touch only the pinned frame, never the shard mutex: a
+/// direct-mapped hint array names the frame likely to hold a page, and
+/// one compare-and-swap on the frame's packed (page id, pin count) word
+/// pins it only if it still holds that page. Anything the hint cannot
+/// settle falls back to the shard lock and its page table, which stay
+/// the authority. A miss performs its disk read outside the shard lock
+/// (the frame is pinned and flagged as loading, so concurrent fetchers
+/// of the same page wait on the shard's condition variable while other
+/// pages proceed). With shards == 1 (the default) eviction order is
+/// deterministic: exactly the CLOCK order that buffer_pool_model_test
+/// replays.
 ///
 /// Fault tolerance: pages carry a CRC32 trailer stamped on flush and
 /// verified on miss reads (torn writes and bit rot surface as
@@ -198,10 +166,10 @@ class BufferPool {
   /// Issue software prefetches for the frames of any of `ids` that are
   /// already resident. Purely advisory: misses are skipped (never
   /// faulted in), a racing eviction only wastes the hint, and the
-  /// frames are not pinned or touched logically (no LRU update, no
-  /// stats). The R-tree descents call this on the next few stack
-  /// entries so a child's page bytes are in cache by the time its
-  /// SIMD scan starts.
+  /// frames are not pinned or touched logically (no reference bit, no
+  /// stats), and no lock is taken. The R-tree descents call this on the
+  /// next few stack entries so a child's page bytes are in cache by the
+  /// time its SIMD scan starts.
   void PrefetchResident(std::span<const PageId> ids);
 
   DiskManager* disk() const { return disk_; }
@@ -216,9 +184,12 @@ class BufferPool {
   size_t capacity() const { return capacity_; }
   size_t shards() const { return shards_.size(); }
   const BufferPoolOptions& options() const { return options_; }
-  const BufferPoolStats& stats() const { return stats_; }
-  BufferPoolStatsSnapshot StatsSnapshot() const { return stats_.Snapshot(); }
-  void ResetStats() { stats_.Reset(); }
+  /// Counters summed over the frames (hits), the shards (misses,
+  /// evictions) and the pool (I/O). Lock-free; concurrent fetches may
+  /// land between the sums.
+  BufferPoolStatsSnapshot stats() const;
+  BufferPoolStatsSnapshot StatsSnapshot() const { return stats(); }
+  void ResetStats();
 
   /// Number of currently pinned frames (for tests / leak detection).
   size_t pinned_frames() const;
@@ -237,22 +208,40 @@ class BufferPool {
  private:
   friend class PageGuard;
 
-  /// Non-atomic Frame fields (page_id, loading, lru_pos, in_lru) are
-  /// guarded by the owning shard's mutex. That guard rotates with the
-  /// frame index, so it cannot be named in a GUARDED_BY annotation —
-  /// the per-shard containers below carry the static annotations, and
-  /// TSan covers the frame fields dynamically.
-  struct Frame {
-    PageId page_id = kInvalidPageId;
-    std::unique_ptr<char[]> data;
-    std::atomic<int> pin_count{0};
-    std::atomic<bool> dirty{false};
+  /// Low half of Frame::state for a frame no one may pin: free, or
+  /// claimed by an evictor or FreePage under the shard lock.
+  static constexpr uint32_t kUnpinnable = 0xFFFFFFFFu;
+  /// Empty hint slot.
+  static constexpr uint32_t kNoFrame = 0xFFFFFFFFu;
+
+  static constexpr uint64_t PackState(PageId id, uint32_t pins) {
+    return (uint64_t{id} << 32) | pins;
+  }
+  static constexpr PageId PageOf(uint64_t state) {
+    return static_cast<PageId>(state >> 32);
+  }
+  static constexpr uint32_t PinsOf(uint64_t state) {
+    return static_cast<uint32_t>(state);
+  }
+
+  /// The bookkeeping fields are atomic because the lock-free hit path
+  /// reads them without the shard lock. What page a frame holds changes
+  /// only under the owning shard's mutex, with the frame unpinnable.
+  /// Aligned so two frames' pin words never share a cache line.
+  struct alignas(64) Frame {
+    /// Page id (high 32 bits) and pin count (low 32 bits), or
+    /// kUnpinnable pins. One word, so a lock-free pin can only land on
+    /// the page it asked for.
+    std::atomic<uint64_t> state{~uint64_t{0}};  // (invalid, unpinnable)
+    /// CLOCK reference bit: set on a hit, cleared by the sweep.
+    std::atomic<bool> ref{false};
     /// True while a miss is reading this frame's page from disk outside
-    /// the shard lock.
-    bool loading = false;
-    // Position in the shard's lru when pin_count == 0.
-    std::list<size_t>::iterator lru_pos;
-    bool in_lru = false;
+    /// the shard lock. Written under the shard lock.
+    std::atomic<bool> loading{false};
+    std::atomic<bool> dirty{false};
+    /// Hits served from this frame, whatever page it held.
+    std::atomic<uint64_t> hits{0};
+    std::unique_ptr<char[]> data;
     /// Guards the page *bytes* against concurrent read/write while the
     /// frame is pinned (see LatchFor). Orthogonal to the shard mutex,
     /// which guards the mapping, not the content.
@@ -261,25 +250,34 @@ class BufferPool {
 
   struct Shard {
     mutable Mutex mu;
-    CondVar load_cv;  // signalled when `loading` clears
+    CondVar load_cv;  // signalled when a frame's `loading` clears
     std::unordered_map<PageId, size_t> page_table GUARDED_BY(mu);
-    std::list<size_t> lru GUARDED_BY(mu);  // front = least recently used
     std::vector<size_t> free_frames GUARDED_BY(mu);
+    /// Next position (0-based, among this shard's frames) the CLOCK
+    /// sweep inspects.
+    size_t hand GUARDED_BY(mu) = 0;
+    /// Written under `mu`, read lock-free by stats().
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> evictions{0};
   };
 
   Shard& ShardForPage(PageId id) { return shards_[id % shards_.size()]; }
-  Shard& ShardForFrame(size_t frame_idx) {
-    return shards_[frame_idx % shards_.size()];
+  std::atomic<uint32_t>& HintFor(PageId id) const {
+    return hints_[id & hint_mask_];
   }
 
+  /// Lock-free pin of `id` through its hint; an invalid guard when the
+  /// hint cannot settle it (the locked path then decides).
+  PageGuard TryPinResident(PageId id);
   void Unpin(size_t frame_idx);
-  /// May write a dirty victim back to disk.
+  /// Take a frame for a new page: a free one, else a CLOCK victim
+  /// (written back first if dirty). The frame comes back clean,
+  /// unpinnable and out of the page table. A failed write-back leaves
+  /// the victim resident and evictable.
   StatusOr<size_t> GetVictimFrame(Shard& shard) REQUIRES(shard.mu);
-  /// Frame must hold a valid resident page.
-  PageGuard PinFrame(Shard& shard, size_t frame_idx) REQUIRES(shard.mu);
-  /// Claim a victim for `id`, pinned and marked loading.
-  StatusOr<size_t> ClaimFrameLocked(Shard& shard, PageId id)
-      REQUIRES(shard.mu);
+  /// Publish a claimed frame as holding `id`, pinned once and
+  /// unreferenced.
+  void Install(Shard& shard, size_t frame_idx, PageId id) REQUIRES(shard.mu);
 
   StatusOr<PageGuard> FetchPageImpl(PageId id, bool overwrite_on_error);
 
@@ -296,7 +294,16 @@ class BufferPool {
   BufferPoolOptions options_;
   std::unique_ptr<Frame[]> frames_;
   std::vector<Shard> shards_;
-  BufferPoolStats stats_;
+  /// page_id & hint_mask_ -> frame index that last held a page with
+  /// that slot; 2 x capacity slots rounded up to a power of two. A
+  /// stale entry only costs a trip to the locked path.
+  std::unique_ptr<std::atomic<uint32_t>[]> hints_;
+  size_t hint_mask_;
+  std::atomic<uint64_t> flushes_{0};
+  std::atomic<uint64_t> read_retries_{0};
+  std::atomic<uint64_t> write_retries_{0};
+  std::atomic<uint64_t> checksum_failures_{0};
+  std::atomic<uint64_t> pin_leaks_{0};
   Mutex jitter_mu_;
   Random jitter_rng_ GUARDED_BY(jitter_mu_);
 };

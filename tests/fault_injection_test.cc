@@ -109,6 +109,45 @@ TEST(FaultInjectionTest, ChecksumSurvivesEvictionRoundTrip) {
   EXPECT_EQ(pool.StatsSnapshot().checksum_failures, 0u);
 }
 
+// A dirty victim whose write-back fails must stay resident and
+// evictable, and must not count as evicted.
+TEST(FaultInjectionTest, FailedWriteBackKeepsVictimEvictable) {
+  InMemoryDiskManager base(256);
+  FaultInjectionDiskManager faulty(&base, FaultPlan{});
+  BufferPool pool(&faulty, /*capacity=*/1, /*shards=*/1,
+                  FastRetryOptions(/*retries=*/0));
+  PageId other, dirty;
+  {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    other = guard->id();
+  }
+  {
+    auto guard = pool.NewPage();  // evicts `other`, writing it back
+    ASSERT_TRUE(guard.ok());
+    dirty = guard->id();
+    guard->mutable_data()[0] = 'D';
+  }
+  ASSERT_EQ(pool.StatsSnapshot().evictions, 1u);
+
+  FaultPlan always_fail;
+  always_fail.transient_write_error_rate = 1.0;
+  faulty.SetPlan(always_fail);
+  auto failed = pool.FetchPage(other);  // `dirty` cannot be written back
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_EQ(pool.StatsSnapshot().evictions, 1u);
+
+  faulty.ClearFaults();
+  auto fetched = pool.FetchPage(other);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(pool.StatsSnapshot().evictions, 2u);
+  fetched->Release();
+  auto reread = pool.FetchPage(dirty);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(reread->data()[0], 'D');
+}
+
 // --- Torn writes -----------------------------------------------------------
 
 TEST(FaultInjectionTest, TornWriteIsDetectedByChecksum) {
