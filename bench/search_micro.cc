@@ -199,7 +199,7 @@ std::vector<pictdb::storage::PageId> CollectNodeIds(
 }
 
 /// Nanoseconds per SoA node decode, amortized over every node in the
-/// tree (pages stay pool-resident, so this isolates the transpose).
+/// tree (pages stay pool-resident, so this isolates the lane copies).
 double DecodeNsPerNode(const pictdb::rtree::RTree& tree,
                        const std::vector<pictdb::storage::PageId>& ids,
                        size_t passes) {

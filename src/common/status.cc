@@ -30,6 +30,8 @@ const char* CodeName(StatusCode code) {
       return "DataLoss";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

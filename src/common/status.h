@@ -22,6 +22,7 @@ enum class StatusCode : int {
   kInternal = 9,
   kDataLoss = 10,
   kDeadlineExceeded = 11,
+  kFailedPrecondition = 12,
 };
 
 /// Return-value error type. Cheap to copy in the OK case (no allocation);
@@ -69,6 +70,9 @@ class [[nodiscard]] Status {
   static Status DeadlineExceeded(std::string_view msg) {
     return Status(StatusCode::kDeadlineExceeded, msg);
   }
+  static Status FailedPrecondition(std::string_view msg) {
+    return Status(StatusCode::kFailedPrecondition, msg);
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
@@ -87,6 +91,9 @@ class [[nodiscard]] Status {
   bool IsDataLoss() const { return code_ == StatusCode::kDataLoss; }
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;
+  }
+  bool IsFailedPrecondition() const {
+    return code_ == StatusCode::kFailedPrecondition;
   }
 
   StatusCode code() const { return code_; }

@@ -478,6 +478,8 @@ Status ErrorResponse::ToStatus() const {
       return Status::DataLoss(message);
     case StatusCode::kDeadlineExceeded:
       return Status::DeadlineExceeded(message);
+    case StatusCode::kFailedPrecondition:
+      return Status::FailedPrecondition(message);
   }
   return Status::Internal("unknown wire status code: " + message);
 }

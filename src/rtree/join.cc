@@ -1,5 +1,7 @@
 #include "rtree/join.h"
 
+#include <deque>
+
 #include "common/logging.h"
 #include "rtree/descent.h"
 #include "simd/dispatch.h"
@@ -8,59 +10,44 @@ namespace pictdb::rtree {
 
 namespace {
 
-/// Reusable SoA transpose of one node's entry rects plus a verdict
-/// mask, shared down the recursion (only leaf-level frames use it, and
-/// leaves never recurse, so one instance is safe).
-struct JoinScratch {
-  std::vector<double> xmin;
-  std::vector<double> ymin;
-  std::vector<double> xmax;
-  std::vector<double> ymax;
+/// The two nodes of one join pair and the leaf x leaf verdict mask.
+/// Each recursion depth owns one frame, reused by every pair visited at
+/// that depth, so a join allocates lane storage per depth, not per pair.
+/// A deque, because growing it must not move the outer depths' frames.
+struct JoinFrame {
+  SoaNode left;
+  SoaNode right;
   std::vector<uint64_t> mask;
-
-  simd::RectSoa Transpose(const Node& node) {
-    const size_t n = node.entries.size();
-    xmin.resize(n);
-    ymin.resize(n);
-    xmax.resize(n);
-    ymax.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const geom::Rect& r = node.entries[i].mbr;
-      xmin[i] = r.lo.x;
-      ymin[i] = r.lo.y;
-      xmax[i] = r.hi.x;
-      ymax[i] = r.hi.y;
-    }
-    mask.resize(simd::MaskWords(n));
-    return simd::RectSoa{xmin.data(), ymin.data(), xmax.data(),
-                         ymax.data(), n};
-  }
 };
+using JoinFrames = std::deque<JoinFrame>;
 
 /// Load one side of a join pair; on an unreadable page in degraded mode
 /// the pair is skipped (quarantining the page) instead of failing the
 /// whole join. Sets `*skip` when the caller should drop the pair.
-StatusOr<Node> LoadJoinNode(const RTree& tree, storage::PageId id,
-                            JoinStats* stats, const SearchOptions& options,
-                            bool* skip) {
-  auto loaded = tree.ReadNodePage(id);
+Status LoadJoinNode(const RTree& tree, storage::PageId id, JoinStats* stats,
+                    const SearchOptions& options, SoaNode* out, bool* skip) {
+  const Status loaded = tree.ReadNodePageSoa(id, out);
   if (loaded.ok()) return loaded;
-  if (!SkipUnreadable(loaded.status(), id, options, stats)) return loaded;
+  if (!SkipUnreadable(loaded, id, options, stats)) return loaded;
   *skip = true;
-  return Node{};
+  return Status::OK();
 }
 
 Status JoinRec(const RTree& left, const RTree& right, storage::PageId lid,
                storage::PageId rid, const JoinCallback& callback,
                JoinStats* stats, const SearchOptions& options,
-               JoinScratch* scratch) {
+               JoinFrames* frames, size_t depth) {
   PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
+  if (frames->size() == depth) frames->emplace_back();
+  JoinFrame& frame = (*frames)[depth];
+  const SoaNode& lnode = frame.left;
+  const SoaNode& rnode = frame.right;
   bool skip = false;
-  PICTDB_ASSIGN_OR_RETURN(const Node lnode,
-                          LoadJoinNode(left, lid, stats, options, &skip));
+  PICTDB_RETURN_IF_ERROR(
+      LoadJoinNode(left, lid, stats, options, &frame.left, &skip));
   if (skip) return Status::OK();
-  PICTDB_ASSIGN_OR_RETURN(const Node rnode,
-                          LoadJoinNode(right, rid, stats, options, &skip));
+  PICTDB_RETURN_IF_ERROR(
+      LoadJoinNode(right, rid, stats, options, &frame.right, &skip));
   if (skip) return Status::OK();
   if (stats != nullptr) stats->nodes_visited += 2;
 
@@ -68,54 +55,58 @@ Status JoinRec(const RTree& left, const RTree& right, storage::PageId lid,
   // node (its MBR hoisted — one computation per visit, not per entry).
   if (lnode.level > rnode.level) {
     const geom::Rect rmbr = rnode.Mbr();
-    for (const Entry& le : lnode.entries) {
+    for (size_t i = 0; i < lnode.count(); ++i) {
       if (stats != nullptr) ++stats->pairs_tested;
-      if (le.mbr.Intersects(rmbr)) {
-        PICTDB_RETURN_IF_ERROR(JoinRec(left, right, le.AsChild(), rid,
-                                       callback, stats, options, scratch));
+      if (lnode.RectAt(i).Intersects(rmbr)) {
+        PICTDB_RETURN_IF_ERROR(JoinRec(left, right, lnode.ChildAt(i), rid,
+                                       callback, stats, options, frames,
+                                       depth + 1));
       }
     }
     return Status::OK();
   }
   if (rnode.level > lnode.level) {
     const geom::Rect lmbr = lnode.Mbr();
-    for (const Entry& re : rnode.entries) {
+    for (size_t i = 0; i < rnode.count(); ++i) {
       if (stats != nullptr) ++stats->pairs_tested;
-      if (re.mbr.Intersects(lmbr)) {
-        PICTDB_RETURN_IF_ERROR(JoinRec(left, right, lid, re.AsChild(),
-                                       callback, stats, options, scratch));
+      if (rnode.RectAt(i).Intersects(lmbr)) {
+        PICTDB_RETURN_IF_ERROR(JoinRec(left, right, lid, rnode.ChildAt(i),
+                                       callback, stats, options, frames,
+                                       depth + 1));
       }
     }
     return Status::OK();
   }
 
-  // Equal leaf levels: the all-pairs test is the join's hot loop —
-  // transpose the right node once and let the rect kernels test every
-  // right entry against each left entry in one call. Ascending bit
-  // order keeps the (le, re) callback order identical to the scalar
-  // nested loop.
+  // Equal leaf levels: the all-pairs test is the join's hot loop — the
+  // rect kernels test every right entry against each left entry in one
+  // call. Ascending bit order keeps the (left, right) callback order
+  // identical to the scalar nested loop.
   if (lnode.is_leaf()) {
-    const simd::RectSoa rsoa = scratch->Transpose(rnode);
+    const simd::RectSoa rsoa = rnode.rects();
     const simd::RectKernels& kernels = simd::ActiveKernels();
-    for (const Entry& le : lnode.entries) {
+    frame.mask.resize(simd::MaskWords(rsoa.count));
+    for (size_t i = 0; i < lnode.count(); ++i) {
+      const LeafHit lhit{lnode.RectAt(i), lnode.RidAt(i)};
       if (stats != nullptr) stats->pairs_tested += rsoa.count;
-      kernels.intersects(rsoa, le.mbr, scratch->mask.data());
-      simd::ForEachSetBit(scratch->mask.data(), rsoa.count, [&](size_t i) {
+      kernels.intersects(rsoa, lhit.mbr, frame.mask.data());
+      simd::ForEachSetBit(frame.mask.data(), rsoa.count, [&](size_t j) {
         if (stats != nullptr) ++stats->results;
-        const Entry& re = rnode.entries[i];
-        callback(LeafHit{le.mbr, le.AsRid()}, LeafHit{re.mbr, re.AsRid()});
+        callback(lhit, LeafHit{rnode.RectAt(j), rnode.RidAt(j)});
       });
     }
     return Status::OK();
   }
 
   // Equal interior levels: pairwise test, descending on intersection.
-  for (const Entry& le : lnode.entries) {
-    for (const Entry& re : rnode.entries) {
+  for (size_t i = 0; i < lnode.count(); ++i) {
+    const geom::Rect lrect = lnode.RectAt(i);
+    for (size_t j = 0; j < rnode.count(); ++j) {
       if (stats != nullptr) ++stats->pairs_tested;
-      if (!le.mbr.Intersects(re.mbr)) continue;
-      PICTDB_RETURN_IF_ERROR(JoinRec(left, right, le.AsChild(), re.AsChild(),
-                                     callback, stats, options, scratch));
+      if (!lrect.Intersects(rnode.RectAt(j))) continue;
+      PICTDB_RETURN_IF_ERROR(JoinRec(left, right, lnode.ChildAt(i),
+                                     rnode.ChildAt(j), callback, stats,
+                                     options, frames, depth + 1));
     }
   }
   return Status::OK();
@@ -127,9 +118,9 @@ Status SpatialJoin(const RTree& left, const RTree& right,
                    const JoinCallback& callback, JoinStats* stats,
                    const SearchOptions& options) {
   if (left.Size() == 0 || right.Size() == 0) return Status::OK();
-  JoinScratch scratch;
+  JoinFrames frames;
   return JoinRec(left, right, left.root(), right.root(), callback, stats,
-                 options, &scratch);
+                 options, &frames, 0);
 }
 
 Status NestedLoopJoin(const RTree& left, const RTree& right,

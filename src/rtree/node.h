@@ -63,9 +63,8 @@ uint64_t MbrComputeCountForTesting();
 
 /// Struct-of-arrays image of one node: the same entries as `Node`, but
 /// with each coordinate in its own contiguous lane so the simd rect
-/// kernels can test a whole node per call. Decoded from the identical
-/// on-disk page layout (the disk format is entry-major and unchanged —
-/// the transpose happens at decode, once per node visit).
+/// kernels can test a whole node per call. Node pages store the same
+/// lanes, so decoding is one prefix copy per lane.
 ///
 /// Reuse one instance across decodes: ReadNodeSoa only resize()s the
 /// lane vectors, so after the first full-capacity node no traversal
@@ -102,6 +101,11 @@ struct SoaNode {
   geom::Rect Mbr() const;
 };
 
+/// Version of the node page layout, recorded in every R-tree's meta
+/// page. 1 is the column-major lane layout; images written before the
+/// word existed hold 0 there and are entry-major.
+constexpr uint16_t kNodeFormatVersion = 1;
+
 /// Maximum entries that fit in a page of the given size.
 size_t NodePageCapacity(uint32_t page_size);
 
@@ -112,7 +116,8 @@ Node ReadNode(const char* page, uint32_t page_size);
 /// storage. CHECKs on a corrupt count like ReadNode.
 void ReadNodeSoa(const char* page, uint32_t page_size, SoaNode* out);
 
-/// Encode a node onto a page image. CHECKs that it fits.
+/// Encode a node onto a page image, zeroing the lane slots past its
+/// count. CHECKs that it fits.
 void WriteNode(const Node& node, char* page, uint32_t page_size);
 
 }  // namespace pictdb::rtree

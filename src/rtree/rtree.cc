@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -31,7 +32,22 @@ struct MetaImage {
   uint16_t min_entries;
   uint8_t split;
   uint8_t forced_reinsert;
+  uint16_t format_version;
 };
+
+MetaImage MakeMeta(PageId root, uint32_t height, uint64_t size,
+                   const RTreeOptions& opts) {
+  MetaImage m;
+  m.root = root;
+  m.height = height;
+  m.size = size;
+  m.max_entries = static_cast<uint16_t>(opts.max_entries);
+  m.min_entries = static_cast<uint16_t>(opts.min_entries);
+  m.split = static_cast<uint8_t>(opts.split);
+  m.forced_reinsert = opts.forced_reinsert ? 1 : 0;
+  m.format_version = kNodeFormatVersion;
+  return m;
+}
 
 MetaImage ReadMeta(const char* page) {
   MetaImage m;
@@ -42,6 +58,7 @@ MetaImage ReadMeta(const char* page) {
   std::memcpy(&m.min_entries, page + 18, 2);
   std::memcpy(&m.split, page + 20, 1);
   std::memcpy(&m.forced_reinsert, page + 21, 1);
+  std::memcpy(&m.format_version, page + 22, 2);
   return m;
 }
 
@@ -53,6 +70,7 @@ void WriteMeta(const MetaImage& m, char* page) {
   std::memcpy(page + 18, &m.min_entries, 2);
   std::memcpy(page + 20, &m.split, 1);
   std::memcpy(page + 21, &m.forced_reinsert, 1);
+  std::memcpy(page + 22, &m.format_version, 2);
 }
 
 /// Guttman's ChooseSubtree criterion: least enlargement, ties by smaller
@@ -111,16 +129,7 @@ StatusOr<RTree> RTree::Create(BufferPool* pool, const RTreeOptions& options) {
   empty_root.level = 0;
   WriteNode(empty_root, root.mutable_data(), pool->page_size());
 
-  MetaImage m;
-  m.root = root.id();
-  m.height = 1;
-  m.size = 0;
-  m.max_entries = static_cast<uint16_t>(opts.max_entries);
-  m.min_entries = static_cast<uint16_t>(opts.min_entries);
-  m.split = static_cast<uint8_t>(opts.split);
-  m.forced_reinsert = opts.forced_reinsert ? 1 : 0;
-  WriteMeta(m, meta.mutable_data());
-
+  WriteMeta(MakeMeta(root.id(), 1, 0, opts), meta.mutable_data());
   return RTree(pool, meta.id(), root.id(), 1, 0, opts);
 }
 
@@ -138,22 +147,19 @@ StatusOr<RTree> RTree::CreateAt(BufferPool* pool, PageId meta_page,
   empty_root.level = 0;
   WriteNode(empty_root, root.mutable_data(), pool->page_size());
 
-  MetaImage m;
-  m.root = root.id();
-  m.height = 1;
-  m.size = 0;
-  m.max_entries = static_cast<uint16_t>(opts.max_entries);
-  m.min_entries = static_cast<uint16_t>(opts.min_entries);
-  m.split = static_cast<uint8_t>(opts.split);
-  m.forced_reinsert = opts.forced_reinsert ? 1 : 0;
-  WriteMeta(m, meta.mutable_data());
-
+  WriteMeta(MakeMeta(root.id(), 1, 0, opts), meta.mutable_data());
   return RTree(pool, meta_page, root.id(), 1, 0, opts);
 }
 
 StatusOr<RTree> RTree::Open(BufferPool* pool, PageId meta_page) {
   PICTDB_ASSIGN_OR_RETURN(PageGuard meta, pool->FetchPage(meta_page));
   const MetaImage m = ReadMeta(meta.data());
+  if (m.format_version != kNodeFormatVersion) {
+    return Status::FailedPrecondition(
+        "R-tree at meta page " + std::to_string(meta_page) +
+        " has node format version " + std::to_string(m.format_version) +
+        "; this build reads version " + std::to_string(kNodeFormatVersion));
+  }
   RTreeOptions opts;
   opts.max_entries = m.max_entries;
   opts.min_entries = m.min_entries;
@@ -204,15 +210,8 @@ Status RTree::RetirePage(PageId id) {
 
 Status RTree::PersistMeta() {
   PICTDB_ASSIGN_OR_RETURN(PageGuard meta, pool_->FetchPage(meta_page_));
-  MetaImage m;
-  m.root = root();
-  m.height = Height();
-  m.size = Size();
-  m.max_entries = static_cast<uint16_t>(options_.max_entries);
-  m.min_entries = static_cast<uint16_t>(options_.min_entries);
-  m.split = static_cast<uint8_t>(options_.split);
-  m.forced_reinsert = options_.forced_reinsert ? 1 : 0;
-  WriteMeta(m, meta.mutable_data());
+  WriteMeta(MakeMeta(root(), Height(), Size(), options_),
+            meta.mutable_data());
   return Status::OK();
 }
 

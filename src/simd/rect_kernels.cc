@@ -1,7 +1,5 @@
 #include "simd/rect_kernels.h"
 
-#include <cstring>
-
 #if defined(__x86_64__) && !defined(PICTDB_DISABLE_SIMD)
 #include <emmintrin.h>
 #define PICTDB_HAVE_SSE2 1
@@ -10,9 +8,6 @@
 namespace pictdb::simd {
 
 namespace {
-
-// On-disk entry stride: 4 coordinate doubles + the 64-bit payload.
-constexpr size_t kEntryStride = 40;
 
 inline void ZeroMask(uint64_t* out, size_t count) {
   const size_t words = MaskWords(count);
@@ -49,19 +44,6 @@ void ScalarContainsPoint(const RectSoa& soa, const geom::Point& p,
   ZeroMask(out, soa.count);
   for (size_t i = 0; i < soa.count; ++i) {
     if (LaneRect(soa, i).Contains(p)) SetBit(out, i);
-  }
-}
-
-void ScalarTranspose(const char* entries, size_t count, double* xmin,
-                     double* ymin, double* xmax, double* ymax,
-                     uint64_t* payloads) {
-  const char* p = entries;
-  for (size_t i = 0; i < count; ++i, p += kEntryStride) {
-    std::memcpy(xmin + i, p, 8);
-    std::memcpy(ymin + i, p + 8, 8);
-    std::memcpy(xmax + i, p + 16, 8);
-    std::memcpy(ymax + i, p + 24, 8);
-    std::memcpy(payloads + i, p + 32, 8);
   }
 }
 
@@ -163,35 +145,6 @@ void Sse2ContainsPoint(const RectSoa& soa, const geom::Point& p,
   }
 }
 
-void Sse2Transpose(const char* entries, size_t count, double* xmin,
-                   double* ymin, double* xmax, double* ymax,
-                   uint64_t* payloads) {
-  // Pairwise 2x2 transposes of the coordinate columns; movupd/unpck are
-  // bit-preserving, so NaN and denormal lanes survive verbatim.
-  size_t i = 0;
-  const char* p = entries;
-  for (; i + 2 <= count; i += 2, p += 2 * kEntryStride) {
-    const __m128d lo0 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(p));  // x0 y0 (lo)
-    const __m128d hi0 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(p + 16));
-    const __m128d lo1 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(p + kEntryStride));
-    const __m128d hi1 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(p + kEntryStride + 16));
-    _mm_storeu_pd(xmin + i, _mm_unpacklo_pd(lo0, lo1));
-    _mm_storeu_pd(ymin + i, _mm_unpackhi_pd(lo0, lo1));
-    _mm_storeu_pd(xmax + i, _mm_unpacklo_pd(hi0, hi1));
-    _mm_storeu_pd(ymax + i, _mm_unpackhi_pd(hi0, hi1));
-    std::memcpy(payloads + i, p + 32, 8);
-    std::memcpy(payloads + i + 1, p + kEntryStride + 32, 8);
-  }
-  if (i < count) {
-    ScalarTranspose(p, count - i, xmin + i, ymin + i, xmax + i, ymax + i,
-                    payloads + i);
-  }
-}
-
 #endif  // PICTDB_HAVE_SSE2
 
 }  // namespace
@@ -199,16 +152,14 @@ void Sse2Transpose(const char* entries, size_t count, double* xmin,
 const RectKernels& ScalarKernels() {
   static constexpr RectKernels kScalar{"scalar", &ScalarIntersects,
                                        &ScalarContainedIn,
-                                       &ScalarContainsPoint,
-                                       &ScalarTranspose};
+                                       &ScalarContainsPoint};
   return kScalar;
 }
 
 const RectKernels* Sse2Kernels() {
 #ifdef PICTDB_HAVE_SSE2
   static constexpr RectKernels kSse2{"sse2", &Sse2Intersects,
-                                     &Sse2ContainedIn, &Sse2ContainsPoint,
-                                     &Sse2Transpose};
+                                     &Sse2ContainedIn, &Sse2ContainsPoint};
   return &kSse2;
 #else
   return nullptr;

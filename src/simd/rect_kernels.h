@@ -73,16 +73,6 @@ struct RectKernels {
                        uint64_t* out);
   void (*contains_point)(const RectSoa& soa, const geom::Point& p,
                          uint64_t* out);
-  /// Decode `count` packed on-disk node entries — 40-byte stride of
-  /// { double xmin, ymin, xmax, ymax; u64 payload } — into the five SoA
-  /// lanes. Pure data movement (loads and shuffles, no arithmetic), so
-  /// every family is bit-preserving by construction, NaNs and denormals
-  /// included; it lives in the kernel table because the strided
-  /// transpose dominates per-node decode cost (`search_micro --json`
-  /// reports it as decode_ns_per_node).
-  void (*transpose)(const char* entries, size_t count, double* xmin,
-                    double* ymin, double* xmax, double* ymax,
-                    uint64_t* payloads);
 };
 
 /// Portable reference kernels built directly on the geom::Rect

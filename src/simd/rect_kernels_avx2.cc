@@ -9,13 +9,9 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
 namespace pictdb::simd {
 
 namespace {
-
-constexpr size_t kEntryStride = 40;  // 4 coordinate doubles + u64 payload
 
 inline void ZeroMask(uint64_t* out, size_t count) {
   const size_t words = MaskWords(count);
@@ -122,53 +118,13 @@ __attribute__((target("avx2"))) void Avx2ContainsPoint(
   }
 }
 
-__attribute__((target("avx2"))) void Avx2Transpose(
-    const char* entries, size_t count, double* xmin, double* ymin,
-    double* xmax, double* ymax, uint64_t* payloads) {
-  // Classic 4x4 double transpose: four entries' coordinate rows in,
-  // four coordinate columns out. Loads/unpacks/permutes are
-  // bit-preserving, so NaN and denormal lanes survive verbatim.
-  size_t i = 0;
-  const char* p = entries;
-  for (; i + 4 <= count; i += 4, p += 4 * kEntryStride) {
-    const __m256d r0 =
-        _mm256_loadu_pd(reinterpret_cast<const double*>(p));
-    const __m256d r1 =
-        _mm256_loadu_pd(reinterpret_cast<const double*>(p + kEntryStride));
-    const __m256d r2 = _mm256_loadu_pd(
-        reinterpret_cast<const double*>(p + 2 * kEntryStride));
-    const __m256d r3 = _mm256_loadu_pd(
-        reinterpret_cast<const double*>(p + 3 * kEntryStride));
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // xmin0 xmin1 | xmax0 xmax1
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // ymin0 ymin1 | ymax0 ymax1
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    _mm256_storeu_pd(xmin + i, _mm256_permute2f128_pd(t0, t2, 0x20));
-    _mm256_storeu_pd(ymin + i, _mm256_permute2f128_pd(t1, t3, 0x20));
-    _mm256_storeu_pd(xmax + i, _mm256_permute2f128_pd(t0, t2, 0x31));
-    _mm256_storeu_pd(ymax + i, _mm256_permute2f128_pd(t1, t3, 0x31));
-    std::memcpy(payloads + i, p + 32, 8);
-    std::memcpy(payloads + i + 1, p + kEntryStride + 32, 8);
-    std::memcpy(payloads + i + 2, p + 2 * kEntryStride + 32, 8);
-    std::memcpy(payloads + i + 3, p + 3 * kEntryStride + 32, 8);
-  }
-  for (; i < count; ++i, p += kEntryStride) {
-    std::memcpy(xmin + i, p, 8);
-    std::memcpy(ymin + i, p + 8, 8);
-    std::memcpy(xmax + i, p + 16, 8);
-    std::memcpy(ymax + i, p + 24, 8);
-    std::memcpy(payloads + i, p + 32, 8);
-  }
-}
-
 }  // namespace
 
 const RectKernels* Avx2Kernels() {
   static const bool supported = __builtin_cpu_supports("avx2") != 0;
   if (!supported) return nullptr;
   static constexpr RectKernels kAvx2{"avx2", &Avx2Intersects,
-                                     &Avx2ContainedIn, &Avx2ContainsPoint,
-                                     &Avx2Transpose};
+                                     &Avx2ContainedIn, &Avx2ContainsPoint};
   return &kAvx2;
 }
 

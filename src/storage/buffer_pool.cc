@@ -390,14 +390,24 @@ StatusOr<PageGuard> BufferPool::FetchPageForOverwrite(PageId id) {
 StatusOr<PageGuard> BufferPool::NewPage() {
   const PageId id = disk_->AllocatePage();
   Shard& shard = ShardForPage(id);
-  MutexLock lock(&shard.mu);
-  PICTDB_ASSIGN_OR_RETURN(const size_t idx, GetVictimFrame(shard));
-  Frame& frame = frames_[idx];
-  std::memset(frame.data.get(), 0, disk_->page_size());
-  // Must reach disk even if never written again.
-  frame.dirty.store(true, std::memory_order_relaxed);
-  Install(shard, idx, id);
-  return PageGuard(this, id, frame.data.get(), &frame.dirty, idx);
+  Status claim;
+  {
+    MutexLock lock(&shard.mu);
+    StatusOr<size_t> idx = GetVictimFrame(shard);
+    if (idx.ok()) {
+      Frame& frame = frames_[*idx];
+      std::memset(frame.data.get(), 0, disk_->page_size());
+      // Must reach disk even if never written again.
+      frame.dirty.store(true, std::memory_order_relaxed);
+      Install(shard, *idx, id);
+      return PageGuard(this, id, frame.data.get(), &frame.dirty, *idx);
+    }
+    claim = idx.status();
+  }
+  // No frame for the page: give it back so the failed call does not
+  // leak it on disk. Outside the shard lock, as in FreePage.
+  disk_->DeallocatePage(id);
+  return claim;
 }
 
 Status BufferPool::FreePage(PageId id) {

@@ -9,13 +9,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "geom/point.h"
 #include "geom/rect.h"
+#include "rect_corpus.h"
 #include "simd/dispatch.h"
 #include "simd/rect_kernels.h"
 
@@ -25,47 +24,11 @@ namespace {
 using geom::Point;
 using geom::Rect;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
-constexpr double kMax = std::numeric_limits<double>::max();
-
-/// Build a Rect without the normalizing constructor so inverted
-/// (empty) and NaN rects survive verbatim.
-Rect MakeRaw(double lox, double loy, double hix, double hiy) {
-  Rect r;
-  r.lo.x = lox;
-  r.lo.y = loy;
-  r.hi.x = hix;
-  r.hi.y = hiy;
-  return r;
-}
-
-/// Adversarial corpus: every pairing of these as (entry rect, window)
-/// exercises the closed-boundary, empty-rect, and NaN edge cases the
-/// kernels must replicate exactly.
-std::vector<Rect> Corpus() {
-  return {
-      MakeRaw(0, 0, 10, 10),          // plain box
-      MakeRaw(10, 10, 20, 20),        // touches the plain box at a corner
-      MakeRaw(10, 0, 20, 10),         // shares an edge with the plain box
-      MakeRaw(5, 5, 5, 5),            // zero-area point rect
-      MakeRaw(3, 3, 3, 12),           // zero-width line rect
-      MakeRaw(2, 2, 1, 1),            // inverted: empty
-      MakeRaw(0, 0, -1, 5),           // inverted on x only: empty
-      MakeRaw(-kInf, -kInf, kInf, kInf),    // everything
-      MakeRaw(kInf, kInf, -kInf, -kInf),    // inverted infinities: empty
-      MakeRaw(0, 0, kInf, kInf),            // half-open to +inf
-      MakeRaw(kNan, 0, 10, 10),             // NaN lo.x
-      MakeRaw(0, 0, kNan, kNan),            // NaN hi
-      MakeRaw(kNan, kNan, kNan, kNan),      // all NaN
-      MakeRaw(-kDenorm, -kDenorm, kDenorm, kDenorm),  // denormal box
-      MakeRaw(0, 0, kDenorm, kDenorm),                // denormal corner
-      MakeRaw(-kMax, -kMax, kMax, kMax),              // extreme finite
-      MakeRaw(-7.25, -3.5, -1.125, -0.25),            // negative box
-      MakeRaw(1e-300, 1e-300, 2e-300, 2e-300),        // tiny magnitudes
-  };
-}
+using testing_support::Corpus;
+using testing_support::kDenorm;
+using testing_support::kInf;
+using testing_support::kNan;
+using testing_support::MakeRaw;
 
 std::vector<Point> PointCorpus() {
   return {
@@ -207,48 +170,6 @@ TEST(SimdKernelDifferential, ScalarMatchesRectPredicates) {
       EXPECT_EQ((mask[i / 64] >> (i % 64)) & 1u,
                 LaneRect(soa, i).Contains(p) ? 1u : 0u)
           << "contains_point lane " << i;
-    }
-  }
-}
-
-// The transpose kernel is pure data movement; every family must
-// reproduce the scalar lanes bit for bit — NaN payload bit patterns,
-// denormals and infinities included — at every tail length.
-TEST(SimdKernelDifferential, TransposeIsBitIdenticalAcrossFamilies) {
-  const std::vector<Rect> corpus = Corpus();
-  for (size_t count = 0; count <= 67; ++count) {
-    // Packed on-disk entry image: 40-byte stride, corpus rects,
-    // payloads with high and low bits exercised.
-    std::vector<char> entries(count * 40);
-    for (size_t i = 0; i < count; ++i) {
-      const Rect& r = corpus[i % corpus.size()];
-      char* p = entries.data() + i * 40;
-      std::memcpy(p, &r.lo.x, 8);
-      std::memcpy(p + 8, &r.lo.y, 8);
-      std::memcpy(p + 16, &r.hi.x, 8);
-      std::memcpy(p + 24, &r.hi.y, 8);
-      const uint64_t payload = ~(uint64_t{i} * 0x9E3779B97F4A7C15ull);
-      std::memcpy(p + 32, &payload, 8);
-    }
-    Lanes want(count), got(count);
-    std::vector<uint64_t> want_pay(count), got_pay(count);
-    ScalarKernels().transpose(entries.data(), count, want.xmin.data(),
-                              want.ymin.data(), want.xmax.data(),
-                              want.ymax.data(), want_pay.data());
-    for (const RectKernels* family : VectorFamilies()) {
-      family->transpose(entries.data(), count, got.xmin.data(),
-                        got.ymin.data(), got.xmax.data(), got.ymax.data(),
-                        got_pay.data());
-      const size_t bytes = count * sizeof(double);
-      EXPECT_EQ(std::memcmp(want.xmin.data(), got.xmin.data(), bytes), 0)
-          << family->name << " xmin, count=" << count;
-      EXPECT_EQ(std::memcmp(want.ymin.data(), got.ymin.data(), bytes), 0)
-          << family->name << " ymin, count=" << count;
-      EXPECT_EQ(std::memcmp(want.xmax.data(), got.xmax.data(), bytes), 0)
-          << family->name << " xmax, count=" << count;
-      EXPECT_EQ(std::memcmp(want.ymax.data(), got.ymax.data(), bytes), 0)
-          << family->name << " ymax, count=" << count;
-      EXPECT_EQ(want_pay, got_pay) << family->name << " count=" << count;
     }
   }
 }

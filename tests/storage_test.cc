@@ -232,6 +232,25 @@ TEST(BufferPoolTest, FlushAllWritesDirtyPages) {
   EXPECT_EQ(out[3], 'Q');
 }
 
+// A NewPage that finds no frame must give its freshly allocated disk
+// page back: a pool under pin pressure would otherwise grow the file
+// by one page per failed call.
+TEST(BufferPoolTest, FailedNewPageDoesNotLeakDiskPages) {
+  InMemoryDiskManager disk(128);
+  BufferPool pool(&disk, 1);
+  auto pinned = pool.NewPage();
+  ASSERT_TRUE(pinned.ok());
+  const PageId pages_before = disk.page_count();
+  for (int i = 0; i < 3; ++i) {
+    auto failed = pool.NewPage();
+    EXPECT_TRUE(failed.status().IsResourceExhausted());
+  }
+  pinned->Release();
+  auto fresh = pool.NewPage();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_LE(disk.page_count(), pages_before + 1);
+}
+
 TEST(BufferPoolTest, FreePageRejectsPinned) {
   InMemoryDiskManager disk(128);
   BufferPool pool(&disk, 4);
